@@ -107,11 +107,13 @@ def cmd_fit(args):
             warnings.simplefilter("ignore")
             fit = fit_joint_model(data, cfg["family"], **fit_kw)
             boot = None
-            if args.bootstrap:
+            # a bare --bootstrap (const -1) takes bootstrap.b replicates
+            b = cfg["bootstrap.b"] if args.bootstrap == -1 else args.bootstrap
+            if b:
                 boot = bootstrap_fit(
                     data,
                     cfg["family"],
-                    b=args.bootstrap,
+                    b=b,
                     seed=args.seed if args.seed is not None else 0,
                     threads=args.threads,
                     **fit_kw,
@@ -373,7 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--data", required=True)
     fp.add_argument("--config")
     fp.add_argument("--out", required=True, help="model JSON path")
-    fp.add_argument("--bootstrap", type=int, metavar="B", help="percentile CIs")
+    fp.add_argument(
+        "--bootstrap", type=int, nargs="?", const=-1, metavar="B",
+        help="percentile CIs from B replicates (bare: bootstrap.b)",
+    )
     fp.add_argument("--seed", type=int, help="bootstrap seed")
     fp.add_argument("--threads", type=int, default=os.cpu_count())
     fp.set_defaults(func=cmd_fit)

@@ -4,9 +4,9 @@ Unknown keys are rejected; every key has a documented default.  The full
 grammar:
 
     family               frank | clayton | gumbel          (default frank)
-    mc.n                 frailty draws per fit             (500)
-    mc.seed              frailty stream seed               (20200)
-    bootstrap.b          bootstrap replicates              (200)
+    mc.n                 accepted and ignored; recorded    (500)
+    mc.seed              accepted and ignored; recorded    (20200)
+    bootstrap.b          replicates for a bare --bootstrap (200)
     optimizer.tau_min    lower search bound on tau         (0.01)
     optimizer.tau_max    upper search bound on tau         (0.95)
     optimizer.tau_tol    search tolerance on tau           (1e-4)

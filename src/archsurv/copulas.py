@@ -107,20 +107,24 @@ class ArchimedeanCopula:
         exact_one = u_arr == 1.0
         uc = _clamp_unit(u_arr)
         th = self.theta
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             if self.family == "clayton":
                 out = np.expm1(-th * np.log(uc)) / th
             elif self.family == "gumbel":
                 out = (-np.log(uc)) ** th
             else:
-                # phi = -log1p(delta), delta = q - 1 with q the expm1 ratio;
-                # avoids cancellation as u -> 1
+                # phi = -log q, q = expm1(-th u) / expm1(-th): taken directly
+                # while q < 1/2 (exact as u -> 0), and as -log1p(delta),
+                # delta = q - 1, above it (no cancellation as u -> 1)
+                q = np.expm1(-th * uc) / np.expm1(-th)
                 delta = (
                     -np.exp(-th * uc)
                     * np.expm1(-th * (1.0 - uc))
                     / np.expm1(-th)
                 )
-                out = -np.log1p(np.maximum(delta, -1.0))
+                out = np.where(
+                    q < 0.5, -np.log(q), -np.log1p(np.maximum(delta, -1.0))
+                )
         out = np.where(exact_one, 0.0, out)
         return out if out.ndim else float(out)
 
@@ -258,10 +262,6 @@ class ArchimedeanCopula:
         out = np.where(_as_array(u) == 1.0, np.clip(v, 0.0, 1.0), out)
         out = np.where(_as_array(v) == 1.0, np.clip(u, 0.0, 1.0), out)
         return out if out.ndim else float(out)
-
-    @staticmethod
-    def _log_u(u):
-        return np.log(u)
 
     def _clayton_log_a(self, u, v):
         # log(u^-th + v^-th - 1), computed in log space to survive large theta

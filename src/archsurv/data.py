@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDataError
-
 
 @dataclass
 class SurvivalData:
@@ -111,9 +109,3 @@ class SurvivalData:
 
     def __len__(self):
         return self.n
-
-
-def make_data(t, delta, y, dtilde, ids=None) -> SurvivalData:
-    if np.asarray(y).size == 0:
-        raise EmptyDataError("dataset has no records")
-    return SurvivalData(t, delta, y, dtilde, ids)

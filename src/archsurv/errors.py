@@ -29,10 +29,6 @@ class NoRootError(ArchsurvError):
     """A bracketed root search found no sign change."""
 
 
-class NonFiniteLikelihood(ArchsurvError):
-    """A likelihood contribution evaluated to a non-finite value."""
-
-
 class EstimationError(ArchsurvError):
     """A stage of the fitting pipeline failed; carries the stage tag."""
 

@@ -1,11 +1,18 @@
 """Stage-two estimation of the global association across onsets.
 
-The observed-data likelihood factors into closed-form contributions for
-subjects with an observed death and, for subjects alive at last follow-up,
-a sum over subsets of their unobserved onsets (which of them happen between
-censoring and death).  A Laplace-transform identity turns every subset term
-into a one-dimensional frailty integral, evaluated by common-random-number
-Monte Carlo over a Stieltjes sum on the terminal-survival atoms.
+Every subject contributes one Stieltjes sum over terminal-survival atoms,
+
+    log sum_atoms w * prod_obs(-phi'(G_k)) * |psi^(d)(sum_k phi(G_k))|,
+
+with phi/psi the generator of the global copula, d the number of observed
+onsets and G_k the conditional survival of onset k given death at the atom.
+A subject with an observed death has one atom, its death time.  A subject
+alive at last follow-up has every atom after its censoring time, with G_k
+taken at the censoring time for each unobserved onset: summed over which
+unobserved onsets happen between censoring and death, the subset terms
+telescope to that single term by the Laplace identity
+E[V^d exp(-sV)] = |psi^(d)(s)| of the frailty V.  The likelihood is exact;
+no Monte Carlo is involved.
 
 Stage-one estimates (terminal KM, per-onset association and marginal) are
 plugged in and held fixed; only the global parameter moves.
@@ -19,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
 
 from .copulas import ArchimedeanCopula, theta_from_tau
 from .data import SurvivalData
@@ -34,6 +40,7 @@ from .marginals import (
 )
 from .survival import StepSurvival
 
+# accepted and recorded for compatibility; the likelihood does not use them
 DEFAULT_MC_N = 500
 DEFAULT_MC_SEED = 20200
 TAU_BOUNDS = (0.01, 0.95)
@@ -49,14 +56,28 @@ def _phi_pos(cop, x):
     return np.asarray(cop.phi(np.clip(x, 1e-300, 1.0)))
 
 
+def _segment_logsumexp(x, starts, seg):
+    """log sum exp(x) over the contiguous segments beginning at `starts`;
+    `seg` maps each element to its segment."""
+    top = np.maximum.reduceat(x, starts)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.add.reduceat(np.exp(x - shift[seg]), starts))
+
+
 class LikelihoodWorkspace:
     """Per-dataset caches for the profile log-likelihood in the global
     association parameter.
 
-    Everything that does not involve the global parameter (conditional
-    survivals given candidate death times, interpolant slopes, atom masses)
-    is computed once; each evaluation only re-applies the generator of the
-    working copula and re-draws frailties from fixed uniform streams.
+    Each record is laid out as cells, one per terminal atom it sums over
+    (see the module docstring).  Everything free of the global parameter is
+    computed once per cell: the conditional onset survivals G, the
+    observed-onset mask and the log weight (atom mass times -G' of every
+    observed onset).  An evaluation applies the working generator to G and
+    reduces the cells of each record with logsumexp.
+
+    `mc_n` and `mc_seed` are accepted and stored so that existing callers
+    and model files keep working; the likelihood does not use them.
     """
 
     def __init__(
@@ -76,9 +97,6 @@ class LikelihoodWorkspace:
         self.cops = [ArchimedeanCopula(family, th) for th in thetas]
         self.s_d = s_d
         self.marginals = list(marginals)
-        rng = np.random.default_rng([mc_seed])
-        self._u1 = rng.uniform(size=self.mc_n)
-        self._u2 = rng.uniform(size=self.mc_n)
         self.skipped = []
         self._prepare(data)
 
@@ -92,254 +110,91 @@ class LikelihoodWorkspace:
         return h2, h12 * neg_slope
 
     def _prepare(self, data: SurvivalData):
-        self.n = data.n
+        n = data.n
         atom_t, atom_m = self.s_d.atoms(complete_tail=True)
         left = np.asarray(self.s_d.left_value(atom_t))
         right = np.asarray(self.s_d(atom_t))
         right = np.where(atom_t == self.s_d.t_max, 0.0, right)  # tail completion
-        atom_vmid = 0.5 * (left + right)
+        atom_v = 0.5 * (left + right)
 
-        death = np.flatnonzero(data.dtilde == 1)
-        alive = np.flatnonzero(data.dtilde == 0)
-        self._death_ids = death
-        self._alive_ids = alive
+        # cells: a death record has one, at its death time; an alive record
+        # has one per atom after its censoring time
+        dead = data.dtilde == 1
+        first = np.searchsorted(atom_t, data.y, side="right")
+        n_cells = np.where(dead, 1, atom_t.size - first)
+        row = np.repeat(np.arange(n), n_cells)
+        pos = np.arange(row.size) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
+        # (a death cell's atom index is a placeholder, overwritten below)
+        atom = np.minimum(first[row] + pos, atom_t.size - 1)
+        v, mass = atom_v[atom], atom_m[atom]
+        cd = dead[row]
+        v[cd] = self.s_d.mid_value(data.y[row[cd]])
+        mass[cd] = self.s_d.jump_mass(data.y[row[cd]])
 
-        # subjects with an observed death: one closed-form term each
-        if death.size:
-            y = data.y[death]
-            vmid = np.asarray(self.s_d.mid_value(y))
-            jump = np.asarray(self.s_d.jump_mass(y))
-            g = np.empty((death.size, self.k))
-            log_gp = np.zeros(death.size)
-            for k in range(self.k):
-                h2, neg_gp = self._g_parts(k, data.t[death, k], vmid)
-                g[:, k] = h2
-                obs = data.delta[death, k] == 1
-                log_gp[obs] += _safe_log(neg_gp[obs])
-            self._death = {
-                "g": g,
-                "delta": data.delta[death] == 1,
-                "d": data.delta[death].sum(axis=1),
-                "const": _safe_log(jump) + log_gp,
-            }
-            bad = ~np.isfinite(self._death["const"])
-            if np.any(bad):
-                for i in death[bad]:
-                    self.skipped.append((int(data.ids[i]), "zero density factor"))
-                keep = ~bad
-                self._death = {
-                    key: val[keep] for key, val in self._death.items()
-                }
-        else:
-            self._death = None
+        # a censored onset's time is the censoring time, so its column is
+        # the onset survival at censoring
+        obs = data.delta[row] == 1
+        g = np.empty(obs.shape)
+        log_w = _safe_log(mass)
+        for k in range(self.k):
+            g[:, k], neg_gp = self._g_parts(k, data.t[row, k], v)
+            log_w[obs[:, k]] += _safe_log(neg_gp[obs[:, k]])
 
-        # subjects alive at censoring: per-record grids over later atoms
-        prev_atom = np.concatenate(([0.0], atom_t[:-1]))
-        self._alive = []
-        for i in alive:
-            y_i = data.y[i]
-            sel = atom_t > y_i
-            if not np.any(sel):
-                self.skipped.append((int(data.ids[i]), "no terminal mass beyond censoring"))
-                continue
-            gt, gm, gv = atom_t[sel], atom_m[sel], atom_vmid[sel]
-            # candidate-death times evaluated at their integration-cell
-            # midpoints (integral starts at the censoring time)
-            gt_mid = 0.5 * (np.maximum(prev_atom[sel], y_i) + gt)
-            obs = np.flatnonzero(data.delta[i] == 1)
-            cen = np.flatnonzero(data.delta[i] == 0)
-            g_obs = np.empty((obs.size, gt.size))
-            neg_gp = np.empty((obs.size, gt.size))
-            for j, k in enumerate(obs):
-                g_obs[j], neg_gp[j] = self._g_parts(k, np.full(gt.size, data.t[i, k]), gv)
-            c_vals = np.empty((cen.size, gt.size))
-            b_vals = np.empty((cen.size, gt.size))
-            for j, k in enumerate(cen):
-                _, c_vals[j], _ = self.cops[k].partials(
-                    np.asarray(self.marginals[k](gt_mid)), gv
-                )
-                _, b_vals[j], _ = self.cops[k].partials(
-                    np.asarray(self.marginals[k](np.full(gt.size, y_i))), gv
-                )
-            self._alive.append(
-                {
-                    "id": int(data.ids[i]),
-                    "masses": gm,
-                    "g_obs": g_obs,
-                    "neg_gp": neg_gp,
-                    "c": c_vals,  # onset survival at the candidate death time
-                    "b": b_vals,  # onset survival at the censoring time
-                    "d": obs.size,
-                    "obs": obs,
-                    "cen": cen,
-                }
+        keep = np.isfinite(log_w)
+        kept = np.bincount(row[keep], minlength=n) > 0
+        for i in np.flatnonzero(~kept):
+            reason = (
+                "zero density factor" if n_cells[i] else "no terminal mass beyond censoring"
             )
+            self.skipped.append((int(data.ids[i]), reason))
 
-    # -- frailty draws ---------------------------------------------------------
+        row = row[keep]
+        rows = np.flatnonzero(kept)
+        self._rec = {
+            "row": rows,  # data row of each contributing record
+            "start": np.searchsorted(row, rows),
+        }
+        d = obs[keep].sum(axis=1)
+        self._cells = {
+            "rec": np.searchsorted(rows, row),
+            "g": g[keep],
+            "obs": obs[keep],
+            "log_w": log_w[keep],
+            "d_groups": [(int(j), np.flatnonzero(d == j)) for j in np.unique(d)],
+        }
 
-    def frailty(self, cop_alpha: ArchimedeanCopula):
-        """CRN frailty draws for the working global copula."""
-        return np.asarray(cop_alpha.frailty_from_uniforms(self._u1, self._u2))
-
-    # -- likelihood pieces -------------------------------------------------------
+    # -- likelihood ------------------------------------------------------------
 
     def _log_psi_d(self, cop, t, d):
         """log of (-1)^d psi^(d)(t), elementwise."""
         vals = np.asarray(cop.psi_deriv(t, int(d)))
         return _safe_log(np.abs(vals))
 
-    def death_loglik_terms(self, cop_alpha: ArchimedeanCopula):
-        """Per-record log contributions for subjects with observed death."""
-        if self._death is None or self._death["g"].size == 0:
-            return np.zeros(0)
-        g = self._death["g"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi_g = _phi_pos(cop_alpha, g)
-            arg = phi_g.sum(axis=1)
-            out = self._death["const"].copy()
-            for d in np.unique(self._death["d"]):
-                m = self._death["d"] == d
-                out[m] += self._log_psi_d(cop_alpha, arg[m], d)
-            neg_phi_p = -np.asarray(cop_alpha.phi_prime(g))
-            lp = _safe_log(neg_phi_p)
-            out += np.where(self._death["delta"], lp, 0.0).sum(axis=1)
-        return out
-
-    def _subset_terms(self, rec, cop_alpha, v_draws, slow=False):
-        """Array of J^s values over subsets of the record's censored onsets.
-
-        Fast path: the subset products are built by doubling over censored
-        indices, sharing exponentials and frailty draws.  The slow path walks
-        every subset, grid atom and draw explicitly; both perform the same
-        elementary operations in the same order, so they agree bit for bit.
-        """
+    def loglik_terms(self, cop_alpha: ArchimedeanCopula):
+        """Log contribution of every record that was not skipped, in data
+        order: logsumexp over its cells of
+        log w + sum_obs log(-phi'(G_k)) + log|psi^(d)(sum_k phi(G_k))|."""
+        cells = self._cells
+        g = cells["g"]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            n_grid0 = rec["masses"].size
-            a_grid = (
-                _phi_pos(cop_alpha, rec["g_obs"]).sum(axis=0)
-                if rec["d"]
-                else np.zeros(n_grid0)
-            )
-            phi_c = (
-                _phi_pos(cop_alpha, rec["c"])
-                if rec["cen"].size
-                else np.zeros((0, n_grid0))
-            )
-            phi_b = (
-                _phi_pos(cop_alpha, rec["b"])
-                if rec["cen"].size
-                else np.zeros((0, n_grid0))
-            )
-
-            w_grid = rec["masses"].copy()
-            if rec["d"]:
-                neg_phi_p = -np.asarray(cop_alpha.phi_prime(rec["g_obs"]))
-                w_grid = w_grid * np.prod(neg_phi_p * rec["neg_gp"], axis=0)
-
-            m = rec["cen"].size
-            d = rec["d"]
-            n_grid = w_grid.size
-            log_x = np.log(v_draws)
-
-            # closed-form s = empty-set term (no Monte Carlo needed)
-            b_all = phi_c.sum(axis=0)
-            empty_inner = np.abs(np.asarray(cop_alpha.psi_deriv(a_grid + b_all, d)))
-            j_empty = float(np.sum(w_grid * empty_inner))
-
-            if m == 0:
-                return np.array([j_empty])
-
-            if not slow:
-                # binary doubling over censored onsets; block [2^j, 2^{j+1})
-                # holds subsets containing onset j, built in place
-                prods = np.empty((2**m, n_grid, self.mc_n))
-                prods[0] = np.exp(
-                    d * log_x[None, :] - a_grid[:, None] * v_draws[None, :]
-                )
-                for j in range(m):
-                    half = 1 << j
-                    exp_c = np.exp(-phi_c[j][:, None] * v_draws[None, :])
-                    bracket = (
-                        np.exp(-phi_b[j][:, None] * v_draws[None, :]) - exp_c
-                    )
-                    np.multiply(prods[:half], bracket, out=prods[half : 2 * half])
-                    prods[:half] *= exp_c
-                inner = prods.mean(axis=2)
-                out = np.empty(2**m)
-                for s in range(2**m):
-                    out[s] = float(np.sum(w_grid * inner[s]))
-                out[0] = j_empty
-                return out
-
-            out = np.empty(2**m)
-            for s in range(2**m):
-                if s == 0:
-                    out[0] = j_empty
-                    continue
-                inner = np.empty(n_grid)
-                for g in range(n_grid):
-                    per_draw = np.empty(self.mc_n)
-                    for nidx in range(self.mc_n):
-                        x = v_draws[nidx]
-                        val = np.exp(d * log_x[nidx] - a_grid[g] * x)
-                        for j in range(m):
-                            if (s >> j) & 1:
-                                val = val * (
-                                    np.exp(-phi_b[j, g] * x) - np.exp(-phi_c[j, g] * x)
-                                )
-                            else:
-                                val = val * np.exp(-phi_c[j, g] * x)
-                        per_draw[nidx] = val
-                    inner[g] = per_draw.mean()
-                out[s] = float(np.sum(w_grid * inner))
-            return out
-
-    def j_term(self, rec_index, subset, cop_alpha, v_draws=None):
-        """Single subset contribution J^s for one alive record.
-
-        `subset` holds onset indices (into 1..K event labels as stored in the
-        record's censored list).
-        """
-        rec = self._alive[rec_index]
-        if v_draws is None:
-            v_draws = self.frailty(cop_alpha)
-        terms = self._subset_terms(rec, cop_alpha, v_draws)
-        s_bits = 0
-        for k in subset:
-            j = int(np.flatnonzero(rec["cen"] == k)[0])
-            s_bits |= 1 << j
-        val = terms[s_bits]
-        if val < -1e-9:
-            warnings.warn("negative subset contribution beyond noise floor")
-        return val
-
-    def alive_loglik_terms(self, cop_alpha: ArchimedeanCopula, slow=False):
-        """Log contributions for alive records: log sum over subset terms,
-        accumulated in the log domain with a max shift."""
-        if not self._alive:
-            return np.zeros(0)
-        v_draws = self.frailty(cop_alpha)
-        out = np.empty(len(self._alive))
-        for idx, rec in enumerate(self._alive):
-            terms = self._subset_terms(rec, cop_alpha, v_draws, slow=slow)
-            pos = terms[terms > 0]
-            out[idx] = logsumexp(np.log(pos)) if pos.size else -np.inf
-        return out
+            arg = _phi_pos(cop_alpha, g).sum(axis=1)
+            lp = _safe_log(-np.asarray(cop_alpha.phi_prime(g)))
+            x = cells["log_w"] + np.where(cells["obs"], lp, 0.0).sum(axis=1)
+            for d, idx in cells["d_groups"]:
+                x[idx] += self._log_psi_d(cop_alpha, arg[idx], d)
+            return _segment_logsumexp(x, self._rec["start"], cells["rec"])
 
     # -- profile likelihood ------------------------------------------------------
 
-    def profile_loglik(self, tau_alpha=None, alpha=None, slow=False):
+    def profile_loglik(self, tau_alpha=None, alpha=None):
         """Plugged-in log-likelihood at the given global association.
 
         Per-record failures (non-finite contributions) are skipped with a
-        warning and counted in `skipped`; the sum runs over the rest.
+        warning; the sum runs over the rest.
         """
         if alpha is None:
             alpha = theta_from_tau(self.family, float(tau_alpha))
-        cop_alpha = ArchimedeanCopula(self.family, alpha)
-        death_terms = self.death_loglik_terms(cop_alpha)
-        alive_terms = self.alive_loglik_terms(cop_alpha, slow=slow)
-        terms = np.concatenate([death_terms, alive_terms])
+        terms = self.loglik_terms(ArchimedeanCopula(self.family, alpha))
         finite = np.isfinite(terms)
         if not np.all(finite):
             warnings.warn(
@@ -363,8 +218,8 @@ class FittedJointModel:
     alpha: float = None  # None when K = 1 (no global parameter)
     tau_alpha: float = None
     loglik: float = None
-    mc_n: int = DEFAULT_MC_N
-    mc_seed: int = DEFAULT_MC_SEED
+    mc_n: int = DEFAULT_MC_N  # recorded in the model JSON, unused
+    mc_seed: int = DEFAULT_MC_SEED  # recorded in the model JSON, unused
     diagnostics: dict = field(default_factory=dict)
 
     def copula_for(self, k: int) -> ArchimedeanCopula:
@@ -448,8 +303,9 @@ def maximize_alpha(
 ):
     """Bounded maximization of the profile log-likelihood on the tau scale.
 
-    Returns (alpha_hat, tau_hat, loglik, hit_boundary); derivative-free
-    search is safe because common random numbers keep the objective smooth.
+    Returns (alpha_hat, tau_hat, loglik, hit_boundary).  The profile is an
+    exact, smooth function of tau, so a derivative-free bounded search
+    suffices.
     """
     lo, hi = tau_bounds
 
@@ -477,7 +333,10 @@ def fit_joint_model(
     tau_tol=1e-4,
 ) -> FittedJointModel:
     """Full pipeline: terminal/censoring KM, per-onset association and
-    marginal, then the global association by pseudo-likelihood."""
+    marginal, then the global association by pseudo-likelihood.
+
+    `mc_n` and `mc_seed` are accepted and recorded in the model; the exact
+    likelihood does not use them."""
     diagnostics = {}
     try:
         s_d = terminal_km(data)

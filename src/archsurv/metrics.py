@@ -224,8 +224,6 @@ def evaluate_model(
     survival is not identified) and counted.  Relative accuracy reports each
     error metric as a ratio with the dynamic prediction as benchmark.
     """
-    if config.ipcw and s_c is None:
-        s_c = censoring_km(data)
     if s_c is None:
         s_c = censoring_km(data)
     t_star = min(config.t_u_star, model.t_max)

@@ -168,6 +168,9 @@ def predict_survival_dp(
     weights = q_vals * masses
     den = float(weights.sum())
     if den <= 0:
+        # a caller that keeps the exception keeps this frame through its
+        # traceback; drop the grid and per-atom arrays so it holds none
+        del times, atoms, masses, sel, q_vals, weights
         raise NotIdentified("denominator integral vanished")
     # numerator at t: mass strictly beyond t
     tail = np.concatenate([np.cumsum(weights[::-1])[::-1][1:], [0.0]])

@@ -66,14 +66,6 @@ class StepSurvival:
         out = 0.5 * (np.asarray(self.left_value(t)) + np.asarray(self(t)))
         return out if out.ndim else float(out)
 
-    def interp_value(self, t):
-        """Piecewise-linear interpolant through (0, 1) and the jump points."""
-        t = np.asarray(t, dtype=float)
-        xs = np.concatenate(([0.0], self.times))
-        ys = np.concatenate(([1.0], self.values))
-        out = np.interp(t, xs, ys)
-        return out if out.ndim else float(out)
-
     def slope(self, t):
         """Slope (<= 0) of the linear interpolant on the segment holding t.
 

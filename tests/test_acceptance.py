@@ -19,12 +19,13 @@ from archsurv.simulate import SimConfig, ex1_config, ex2_config, ex3_config, sim
 
 from tests._cli import run_cli_subprocess
 from tests.test_copulas import TAU_GRID, finite_diff_psi
-from tests.test_likelihood import (  # noqa: F401
-    SmoothSurvival,
+from tests.test_likelihood import (
+    _alive_rows_by_censored_count,
     _ex_workspace,
     _oracle_j_terms,
-    fine_terminal,
+    _record_term,
     smooth_workspace,
+    subset_terms,
 )
 from tests.test_predict import injected_model, mc_conditional_survival
 
@@ -288,27 +289,24 @@ def test_criterion_8_likelihood_oracle():
     ws = smooth_workspace(data, mc_n=12_000, n_grid=1000)
     cop_a = ArchimedeanCopula("frank", theta_from_tau("frank", 0.5))
     j_empty_o, j_one_o = _oracle_j_terms((0.5, 0.35), 0.5, t2, y)
-    total = float(np.exp(ws.alive_loglik_terms(cop_a)[0]))
+    total = _record_term(ws, cop_a, 0)
     rel = abs(total - (j_empty_o + j_one_o)) / (j_empty_o + j_one_o)
 
-    ws7, _ = _ex_workspace(k=7, n=60, censor_upper=2.0, mc_n=100)
-    sizes = np.array([rec["cen"].size for rec in ws7._alive])
+    ws7, data7 = _ex_workspace(k=7, n=60, censor_upper=2.0)
+    rows, sizes = _alive_rows_by_censored_count(ws7, data7)
     cop = ArchimedeanCopula("frank", theta_from_tau("frank", 0.4))
-    v = ws7.frailty(cop)
-    bitwise = True
-    checked = []
-    for idx in np.argsort(sizes)[-3:]:
-        rec = ws7._alive[idx]
-        fast = ws7._subset_terms(rec, cop, v)
-        slow = ws7._subset_terms(rec, cop, v, slow=True)
-        bitwise &= bool(np.array_equal(fast, slow))
-        checked.append(rec["cen"].size)
-    ok = rel < 2e-2 and bitwise and max(checked) == 7
+    worst = 0.0
+    for row in rows[-3:]:
+        subset_sum = subset_terms(ws7, data7, row, cop).sum()
+        worst = max(worst, abs(_record_term(ws7, cop, row) - subset_sum) / subset_sum)
+    checked = sorted(int(m) for m in sizes[-3:])
+    ok = rel < 2e-2 and worst <= 1e-10 and max(checked) == 7
     _report(
         8,
         ok,
-        f"K=2 alive record vs nested quadrature rel={rel:.4f} (<0.02); "
-        f"subset slow path bitwise-equal for m={sorted(checked)} (incl. 7): {bitwise}",
+        f"K=2 alive record vs nested quadrature rel={rel:.2e} (<0.02); "
+        f"closed form vs subset-sum oracle for m={checked} (incl. 7) "
+        f"rel={worst:.2e} (<=1e-10)",
     )
 
 

@@ -126,6 +126,23 @@ def test_fit_summary_and_model_json(workdir):
     assert len(doc["thetas"]) == 2
 
 
+def test_fit_bare_bootstrap_uses_config_replicates(workdir, tmp_path):
+    tmp, _ = workdir
+    cfg = write_cfg(tmp_path / "boot.cfg", SMALL_SIM + "bootstrap.b = 3\n")
+    counts = []
+    for flag in (["--bootstrap"], ["--bootstrap", 4]):
+        out = tmp_path / "boot.json"
+        assert (
+            run_cli(
+                ["fit", "--data", tmp / "train.csv", "--config", cfg, "--out", out,
+                 *flag, "--seed", 5, "--threads", 1]
+            )
+            == 0
+        )
+        counts.append(json.loads(out.read_text())["bootstrap"]["b"])
+    assert counts == [3, 4]
+
+
 def test_predict_flow_and_m0_equals_p0(workdir, tmp_path):
     tmp, _ = workdir
     qpath = tmp_path / "queries.csv"

@@ -103,6 +103,21 @@ def test_psi_phi_roundtrip_grid(family):
         assert err.max() < 1e-10
 
 
+@pytest.mark.parametrize("theta", [-3.0, 0.5, 1.66, 22.1])
+def test_phi_frank_matches_mpmath_near_zero_and_one(theta):
+    # small u once lost 1e-7 relative accuracy to cancellation, enough to
+    # make the profile likelihood jagged on a 1e-4 tau scale
+    import mpmath as mp
+
+    cop = ArchimedeanCopula("frank", theta)
+    us = np.concatenate([np.logspace(-12, -1, 23), np.linspace(0.1, 1 - 1e-9, 30)])
+    got = np.asarray(cop.phi(us))
+    with mp.workdps(50):
+        th = mp.mpf(theta)
+        exact = [float(-mp.log(mp.expm1(-th * mp.mpf(u)) / mp.expm1(-th))) for u in us]
+    assert np.allclose(got, exact, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
 def test_phi_strictly_decreasing(family):
     cop = copula_from_tau(family, 0.4)

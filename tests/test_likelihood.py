@@ -1,5 +1,6 @@
 """Likelihood oracles: mixed-partial and nested-quadrature checks on smooth
-test marginals, independence factorization, subset machinery, CRN behavior."""
+test marginals, independence factorization, the subset-sum expansion of
+alive records, and smoothness of the profile."""
 
 import warnings
 
@@ -18,7 +19,7 @@ from archsurv.likelihood import (
     maximize_alpha,
     model_aic,
 )
-from archsurv.simulate import SimConfig, ex2_config, simulate_dataset
+from archsurv.simulate import SimConfig, ex1_config, ex2_config, simulate_dataset
 from archsurv.survival import StepSurvival
 
 
@@ -101,7 +102,7 @@ def test_death_record_matches_mixed_partial_oracle():
         w(t1 + h, t2 + h) - w(t1 + h, t2 - h) - w(t1 - h, t2 + h) + w(t1 - h, t2 - h)
     ) / (4 * h * h)
 
-    log_terms = ws.death_loglik_terms(cop_a)
+    log_terms = ws.loglik_terms(cop_a)
     assert log_terms.size == 1
     jump = ws.s_d.jump_mass(y)
     impl_density = np.exp(log_terms[0]) / jump
@@ -113,7 +114,7 @@ def test_death_record_no_events_is_pure_survival_term():
     data = SurvivalData(t=[[y, y]], delta=[[0, 0]], y=[y], dtilde=[1])
     ws = smooth_workspace(data)
     cop_a = ArchimedeanCopula("frank", 3.0)
-    log_term = ws.death_loglik_terms(cop_a)[0]
+    log_term = ws.loglik_terms(cop_a)[0]
     vmid = ws.s_d.mid_value(y)
     expected = np.log(ws.s_d.jump_mass(y))
     args = 0.0
@@ -129,7 +130,7 @@ def test_death_record_independence_factorizes():
     data = SurvivalData(t=[[t1, t2]], delta=[[1, 1]], y=[y], dtilde=[1])
     ws = smooth_workspace(data, tau_thetas=(1e-7, 1e-7))
     cop_a = ArchimedeanCopula("frank", 1e-7)
-    log_term = ws.death_loglik_terms(cop_a)[0]
+    log_term = ws.loglik_terms(cop_a)[0]
     jump = ws.s_d.jump_mass(y)
     f1 = RATES_K[0] * np.exp(-RATES_K[0] * t1)
     f2 = RATES_K[1] * np.exp(-RATES_K[1] * t2)
@@ -185,29 +186,102 @@ def _oracle_j_terms(tau_thetas, tau_a, t2, y):
     return j_empty, j_one
 
 
+def _record_term(ws, cop_a, row):
+    """Closed-form contribution (not its log) of data row `row`."""
+    pos = int(np.searchsorted(ws._rec["row"], row))
+    assert ws._rec["row"][pos] == row
+    return float(np.exp(ws.loglik_terms(cop_a)[pos]))
+
+
+def _alive_parts(ws, data, row):
+    """Inputs of the subset expansion for alive data row `row`, built from
+    the workspace's plug-ins alone (not its cells): over the terminal atoms
+    after censoring, the atom masses, the observed onsets' G and -G', and
+    each censored onset's survival b at the censoring time and c at the
+    candidate death time (the midpoint of the atom's integration cell)."""
+    s_d = ws.s_d
+    atom_t, atom_m = s_d.atoms(complete_tail=True)
+    right = np.where(atom_t == s_d.t_max, 0.0, s_d(atom_t))
+    atom_v = 0.5 * (np.asarray(s_d.left_value(atom_t)) + right)
+    prev = np.concatenate(([0.0], atom_t[:-1]))
+    y = data.y[row]
+    sel = atom_t > y
+    gt, v = atom_t[sel], atom_v[sel]
+    t_mid = 0.5 * (np.maximum(prev[sel], y) + gt)
+    obs = np.flatnonzero(data.delta[row] == 1)
+    cen = np.flatnonzero(data.delta[row] == 0)
+
+    def h2(k, t):
+        return ws.cops[k].partials(np.asarray(ws.marginals[k](t)), v)[1]
+
+    def neg_gp(k, t):
+        u = np.asarray(ws.marginals[k](t))
+        return ws.cops[k].partials(u, v)[2] * -np.asarray(ws.marginals[k].slope(t))
+
+    ones = np.ones(gt.size)
+    return {
+        "masses": atom_m[sel],
+        "g_obs": np.array([h2(k, data.t[row, k] * ones) for k in obs]).reshape(-1, gt.size),
+        "neg_gp": np.array([neg_gp(k, data.t[row, k] * ones) for k in obs]).reshape(-1, gt.size),
+        "b": np.array([h2(k, y * ones) for k in cen]).reshape(-1, gt.size),
+        "c": np.array([h2(k, t_mid) for k in cen]).reshape(-1, gt.size),
+    }
+
+
+def subset_terms(ws, data, row, cop_a):
+    """J^s over every subset s of the censored onsets of alive data row
+    `row` (bit j of the index: censored onset j happens between censoring
+    and death), with no Monte Carlo.  By the Laplace identity each term is
+    sum_atoms w E[V^d e^{-aV} prod_{j in s}(e^{-phi(b_j)V} - e^{-phi(c_j)V})
+    prod_{j not in s} e^{-phi(c_j)V}]; expanding the product by
+    inclusion-exclusion gives
+    J^s = sum_atoms w sum_{r <= s} (-1)^{|s - r|} |psi^(d)(a + sum_{j in r} phi(b_j)
+    + sum_{j not in r} phi(c_j))|."""
+    p = _alive_parts(ws, data, row)
+    d = p["g_obs"].shape[0]
+    m = p["b"].shape[0]
+    a = np.asarray(cop_a.phi(p["g_obs"])).sum(axis=0)
+    w = p["masses"] * np.prod(-cop_a.phi_prime(p["g_obs"]) * p["neg_gp"], axis=0)
+    phi_b, phi_c = np.asarray(cop_a.phi(p["b"])), np.asarray(cop_a.phi(p["c"]))
+    f = np.empty(2**m)
+    for r in range(2**m):
+        in_r = np.array([(r >> j) & 1 for j in range(m)], dtype=bool)
+        arg = a + phi_b[in_r].sum(axis=0) + phi_c[~in_r].sum(axis=0)
+        f[r] = np.sum(w * np.abs(cop_a.psi_deriv(arg, d)))
+    out = np.zeros(2**m)
+    for s in range(2**m):
+        r = s
+        while True:  # every r contained in s
+            out[s] += (-1) ** bin(s ^ r).count("1") * f[r]
+            if r == 0:
+                break
+            r = (r - 1) & s
+    return out
+
+
 def test_alive_record_matches_nested_quadrature():
     t2, y = 0.7, 1.2
     data = _alive_record(t2, y)
-    ws = smooth_workspace(data, mc_n=12_000, n_grid=1000)
+    ws = smooth_workspace(data, n_grid=1000)
     tau_a = 0.5
     cop_a = ArchimedeanCopula("frank", theta_from_tau("frank", tau_a))
     j_empty_o, j_one_o = _oracle_j_terms((0.5, 0.35), tau_a, t2, y)
 
-    j_empty = ws.j_term(0, [], cop_a)
-    j_one = ws.j_term(0, [0], cop_a)
+    j_empty, j_one = subset_terms(ws, data, 0, cop_a)
     assert j_empty == pytest.approx(j_empty_o, rel=1e-2)
     assert j_one == pytest.approx(j_one_o, rel=2e-2)
 
-    total = np.exp(ws.alive_loglik_terms(cop_a)[0])
-    assert total == pytest.approx(j_empty_o + j_one_o, rel=2e-2)
+    total = _record_term(ws, cop_a, 0)
+    assert total == pytest.approx(j_empty_o + j_one_o, rel=1e-5)
+    assert total == pytest.approx(j_empty + j_one, rel=1e-12)
 
 
 def test_alive_record_independence_factorizes():
     t2, y = 0.9, snap(1.4, n_grid=1000)
     data = _alive_record(t2, y)
-    ws = smooth_workspace(data, tau_thetas=(1e-7, 1e-7), mc_n=4000, n_grid=1000)
+    ws = smooth_workspace(data, tau_thetas=(1e-7, 1e-7), n_grid=1000)
     cop_a = ArchimedeanCopula("frank", 1e-7)
-    total = np.exp(ws.alive_loglik_terms(cop_a)[0])
+    total = _record_term(ws, cop_a, 0)
     s1 = np.exp(-RATES_K[0] * y)
     f2 = RATES_K[1] * np.exp(-RATES_K[1] * t2)
     s_d = np.exp(-RATE_D * y)
@@ -218,27 +292,27 @@ def test_alive_all_observed_single_term():
     data = SurvivalData(t=[[0.4, 0.9]], delta=[[1, 1]], y=[1.3], dtilde=[0])
     ws = smooth_workspace(data)
     cop_a = ArchimedeanCopula("frank", 2.0)
-    terms = ws._subset_terms(ws._alive[0], cop_a, ws.frailty(cop_a))
+    terms = subset_terms(ws, data, 0, cop_a)
     assert terms.size == 1  # empty power set of censored onsets
+    assert _record_term(ws, cop_a, 0) == pytest.approx(terms[0], rel=1e-12)
 
 
 def test_alive_no_event_info_reduces_to_tail_mass():
-    # flat onset marginals: the record contributes exactly the残 terminal mass
+    # flat onset marginals: the record contributes exactly the residual
+    # terminal mass
     s_d = StepSurvival([1.0, 2.0, 3.0], [0.7, 0.5, 0.3], t_max=4.0)
     data = SurvivalData(
         t=[[3.5, 3.5]], delta=[[0, 0]], y=[3.5], dtilde=[0]
     )
     flat = SmoothSurvival(0.0)
-    ws = LikelihoodWorkspace(data, "frank", [2.0, 3.0], [flat, flat], s_d, 500, 3)
     for fam, alpha in [("frank", 2.0), ("clayton", 1.0), ("gumbel", 2.0)]:
         ws_f = LikelihoodWorkspace(data, fam, [2.0, 2.0], [flat, flat], s_d, 500, 3)
         cop_a = ArchimedeanCopula(fam, alpha)
-        terms = ws_f._subset_terms(ws_f._alive[0], cop_a, ws_f.frailty(cop_a))
+        terms = subset_terms(ws_f, data, 0, cop_a)
         assert terms.size == 4
         assert terms[0] == pytest.approx(0.3, rel=1e-9)  # s = empty
         assert np.allclose(terms[1:], 0.0, atol=1e-12)
-        total = np.exp(ws_f.alive_loglik_terms(cop_a)[0])
-        assert total == pytest.approx(0.3, rel=1e-9)
+        assert _record_term(ws_f, cop_a, 0) == pytest.approx(0.3, rel=1e-9)
 
 
 def test_record_beyond_all_mass_is_skipped():
@@ -246,16 +320,16 @@ def test_record_beyond_all_mass_is_skipped():
     flat = SmoothSurvival(0.0)
     data = SurvivalData(t=[[2.0]], delta=[[0]], y=[2.0], dtilde=[0])
     ws = LikelihoodWorkspace(data, "frank", [2.0], [flat], s_d, 100, 1)
-    assert len(ws._alive) == 0
-    assert len(ws.skipped) == 1
+    assert ws._rec["row"].size == 0
+    assert ws.loglik_terms(ArchimedeanCopula("frank", 2.0)).size == 0
+    assert ws.skipped == [(1, "no terminal mass beyond censoring")]
 
 
 # ---------------------------------------------------------------------------
-# subset machinery
+# closed form vs the subset-sum expansion
 
 
-def _ex_workspace(k=7, n=60, seed=3, censor_upper=2.5, mc_n=300, n_grid=60,
-                  horizon=12.0):
+def _ex_workspace(k=7, n=60, seed=3, censor_upper=2.5, n_grid=60, horizon=12.0):
     cfg = ex2_config(k=k, tau_alpha=0.5, censor_upper=censor_upper, n_train=n,
                      n_test=0, seed=seed)
     data = simulate_dataset(cfg).train
@@ -263,40 +337,46 @@ def _ex_workspace(k=7, n=60, seed=3, censor_upper=2.5, mc_n=300, n_grid=60,
     margs = [SmoothSurvival(1.0)] * k
     return (
         LikelihoodWorkspace(
-            data, "frank", thetas, margs, fine_terminal(n_grid, horizon), mc_n, 5
+            data, "frank", thetas, margs, fine_terminal(n_grid, horizon)
         ),
         data,
     )
 
 
-def test_subset_count_and_slow_path_bitwise():
-    ws, data = _ex_workspace(mc_n=100)
+def _alive_rows_by_censored_count(ws, data):
+    """Alive data rows that contribute, sorted by their number of censored
+    onsets (ascending), with those counts."""
+    rows = ws._rec["row"][data.dtilde[ws._rec["row"]] == 0]
+    sizes = (data.delta[rows] == 0).sum(axis=1)
+    order = np.argsort(sizes, kind="stable")
+    return rows[order], sizes[order]
+
+
+def test_subset_count_and_closed_form_equals_subset_sum():
+    ws, data = _ex_workspace()
     cop_a = ArchimedeanCopula("frank", theta_from_tau("frank", 0.4))
-    sizes = np.array([rec["cen"].size for rec in ws._alive])
+    rows, sizes = _alive_rows_by_censored_count(ws, data)
     assert sizes.max() >= 6  # exercise a large power set
-    v = ws.frailty(cop_a)
-    pick = list(np.argsort(sizes)[-2:]) + list(np.argsort(sizes)[:2])
-    for idx in pick:
-        rec = ws._alive[idx]
-        fast = ws._subset_terms(rec, cop_a, v)
-        assert fast.size == 2 ** rec["cen"].size
-        slow = ws._subset_terms(rec, cop_a, v, slow=True)
-        assert np.array_equal(fast, slow)
+    for row in list(rows[-2:]) + list(rows[:2]):
+        terms = subset_terms(ws, data, row, cop_a)
+        assert terms.size == 2 ** int((data.delta[row] == 0).sum())
+        total = _record_term(ws, cop_a, row)
+        assert total == pytest.approx(terms.sum(), rel=1e-10)
 
 
 def test_exp_arguments_nonpositive():
-    ws, _ = _ex_workspace(k=3, n=40)
+    ws, data = _ex_workspace(k=3, n=40)
     cop_a = ArchimedeanCopula("frank", 2.0)
-    v = ws.frailty(cop_a)
-    assert np.all(v > 0)
-    for rec in ws._alive:
-        from archsurv.likelihood import _phi_pos
-
-        assert np.all(_phi_pos(cop_a, rec["c"]) >= 0)
-        assert np.all(_phi_pos(cop_a, rec["b"]) >= 0)
-        # onset survival at censoring dominates the candidate-death one
-        if rec["cen"].size:
-            assert np.all(rec["b"] >= rec["c"] - 1e-12)
+    rows, _ = _alive_rows_by_censored_count(ws, data)
+    for row in rows:
+        p = _alive_parts(ws, data, row)
+        assert np.all(cop_a.phi(p["c"]) >= 0)
+        assert np.all(cop_a.phi(p["b"]) >= 0)
+        # onset survival at censoring dominates the candidate-death one, so
+        # every subset term is a non-negative frailty expectation
+        assert np.all(p["b"] >= p["c"] - 1e-12)
+        terms = subset_terms(ws, data, row, cop_a)
+        assert np.all(terms >= -1e-12 * terms.sum())
 
 
 def test_crn_profile_is_deterministic_and_smooth():
@@ -334,26 +414,50 @@ def test_alpha_free_factors_leave_argmax_invariant():
             fit.terminal
         )
         _, tau_1, _, _ = maximize_alpha(ws)
-        # rescale every record's alpha-free density factors
+        # rescale every record's alpha-free density factor
         rng = np.random.default_rng(0)
-        ws._death["const"] = ws._death["const"] + np.log(
-            rng.uniform(0.5, 2.0, size=ws._death["const"].size)
-        )
+        scale = np.log(rng.uniform(0.5, 2.0, size=ws._rec["row"].size))
+        ws._cells["log_w"] = ws._cells["log_w"] + scale[ws._cells["rec"]]
         _, tau_2, _, _ = maximize_alpha(ws)
     assert tau_2 == pytest.approx(tau_1, abs=2e-4)
 
 
 def test_mc_size_insensitivity_of_alpha_hat():
+    # mc_n / mc_seed are accepted and ignored: the likelihood is exact
     cfg = ex2_config(k=3, tau_alpha=0.5, censor_upper=5.0, n_train=80, n_test=0,
                      seed=17)
     data = simulate_dataset(cfg).train
-    taus = {}
-    for n_mc in (500, 5000):
+    fits = []
+    for n_mc, seed in ((500, 1), (5000, 9)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fit = fit_joint_model(data, "frank", mc_n=n_mc)
-        taus[n_mc] = fit.tau_alpha
-    assert abs(taus[500] - taus[5000]) < 0.01
+            fits.append(fit_joint_model(data, "frank", mc_n=n_mc, mc_seed=seed))
+    assert fits[0].tau_alpha == fits[1].tau_alpha
+    assert fits[0].loglik == fits[1].loglik
+
+
+@pytest.mark.parametrize("n_train, n_test, seed", [(120, 400, 1000), (200, 2000, 0)])
+def test_fit_is_the_single_peak_of_the_profile(n_train, n_test, seed):
+    # these draws stopped the search on a local bump of the Monte Carlo
+    # profile (tau_hat 0.2010 at -317.552 while tau 0.195 gave -317.534)
+    cfg = ex1_config(k=3, tau_alpha=0.2, censor_upper=5, n_train=n_train,
+                     n_test=n_test, seed=seed)
+    data = simulate_dataset(cfg).train
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_joint_model(data, "frank")
+        ws = LikelihoodWorkspace(
+            data, "frank", [a.theta_hat for a in fit.thetas], fit.marginals,
+            fit.terminal
+        )
+        for step in (1e-4, 1e-3, 3e-3, 1e-2):
+            for tau in (fit.tau_alpha - step, fit.tau_alpha + step):
+                assert ws.profile_loglik(tau_alpha=tau) <= fit.loglik
+        lls = np.array(
+            [ws.profile_loglik(tau_alpha=t) for t in np.linspace(0.02, 0.9, 400)]
+        )
+    signs = np.sign(np.diff(lls))
+    assert np.count_nonzero(signs[1:] != signs[:-1]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +497,7 @@ def test_profile_single_death_record_reduction():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         total = ws.profile_loglik(alpha=2.5)
-    assert total == pytest.approx(float(ws.death_loglik_terms(cop_a)[0]))
+    assert total == pytest.approx(float(ws.loglik_terms(cop_a)[0]))
 
 
 def test_model_json_roundtrip_value_exact():

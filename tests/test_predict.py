@@ -1,6 +1,8 @@
 """Dynamic prediction: reductions, quadrature and generative Monte Carlo
 oracles, summary functionals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -280,6 +282,26 @@ def test_dp_landmark_beyond_followup_not_identified():
     model = km_model([1.0, 2.0], [1, 0])
     with pytest.raises(NotIdentified):
         predict_survival_dp(PredictionQuery(((0, 2.0),)), model)
+
+
+def test_dp_vanishing_denominator_frame_holds_no_arrays():
+    # a caller that stores the exception keeps the raising frame alive
+    # through its traceback, so that frame must not pin the grid or the
+    # per-atom arrays
+    model = injected_model()
+    flat = StepSurvival([model.t_max], [1.0], t_max=model.t_max)
+    model = dataclasses.replace(model, marginals=[flat, *model.marginals[1:]])
+    with pytest.raises(NotIdentified, match="denominator") as info:
+        predict_survival_dp(PredictionQuery(((0, 0.4), (1, 0.9))), model)
+    held, tb = [], info.value.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_name == "predict_survival_dp":
+            held += [
+                name for name, val in tb.tb_frame.f_locals.items()
+                if isinstance(val, np.ndarray)
+            ]
+        tb = tb.tb_next
+    assert held == []
 
 
 # ---------------------------------------------------------------------------

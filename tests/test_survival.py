@@ -61,7 +61,6 @@ def test_step_survival_evaluation_conventions():
 
 def test_step_survival_interp_and_slope():
     s = StepSurvival([1.0, 2.0], [0.6, 0.2], t_max=3.0)
-    assert s.interp_value(0.5) == pytest.approx(0.8)
     assert s.slope(0.5) == pytest.approx(-0.4)
     assert s.slope(1.0) == pytest.approx(-0.4)  # left-looking at the node
     assert s.slope(1.5) == pytest.approx(-0.4)
