@@ -24,7 +24,6 @@ from .marginals import (
     WeightSpec,
     censoring_km,
     concordance_score,
-    conditional_survival_G,
     self_consistent_marginal,
     solve_theta,
     terminal_km,
@@ -76,7 +75,6 @@ __all__ = [
     "concordance_score",
     "solve_theta",
     "self_consistent_marginal",
-    "conditional_survival_G",
     "LikelihoodWorkspace",
     "FittedJointModel",
     "fit_joint_model",

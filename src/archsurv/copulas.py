@@ -422,23 +422,6 @@ def _logseries_quantile_pair(theta: float, u1, u2):
 # -- Kendall tau conversions ---------------------------------------------------
 
 
-def kendall_tau_integrand_ratio(family: str, theta: float):
-    """phi/phi' as a function of u; the generic tau formula integrates it."""
-    cop = ArchimedeanCopula(family, theta)
-
-    def ratio(u):
-        return cop.phi(u) / cop.phi_prime(u)
-
-    return ratio
-
-
-def tau_from_theta_quadrature(family: str, theta: float) -> float:
-    """Kendall's tau via the generic identity tau = 1 + 4 * int_0^1 phi/phi'."""
-    ratio = kendall_tau_integrand_ratio(family, theta)
-    val, _ = integrate.quad(ratio, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return 1.0 + 4.0 * val
-
-
 @lru_cache(maxsize=200_000)
 def tau_from_theta(family: str, theta: float) -> float:
     """Kendall's tau for a family/parameter pair (closed form per family)."""

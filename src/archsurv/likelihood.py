@@ -65,6 +65,41 @@ def _segment_logsumexp(x, starts, seg):
         return shift + np.log(np.add.reduceat(np.exp(x - shift[seg]), starts))
 
 
+def terminal_atoms(s_d: StepSurvival):
+    """(times, masses, S_D values) of the terminal measure with its residual
+    mass completed onto t_max.  The S_D value of an atom is the midpoint
+    across its jump of the completed curve, so the tail atom takes
+    S_D(t_max-) / 2."""
+    times, masses = s_d.atoms(complete_tail=True)
+    return times, masses, np.asarray(s_d.completed().mid_value(times))
+
+
+def onset_partials(marginal: StepSurvival, cop: ArchimedeanCopula, t_onset, v):
+    """(G, H12) at (S_k(t_onset), v): G = H2 is the survival of onset k past
+    t_onset given death where S_D = v, and H12 the copula density factor.
+    The density of an observed onset is H12 * (-S_k'(t_onset))."""
+    _, g, h12 = cop.partials(np.asarray(marginal(t_onset)), np.asarray(v))
+    return g, h12
+
+
+def cell_log_terms(cop_alpha: ArchimedeanCopula, g, obs, log_w, d_groups):
+    """Log integrand of every cell under the global generator:
+
+        log w + sum_obs log(-phi'(G_k)) + log|psi^(d)(sum_k phi(G_k))|,
+
+    with G (cells x onsets), the observed-onset mask `obs`, the log weight
+    of each cell and `d_groups`, (d, cell index) pairs grouping the cells by
+    their number d of observed onsets."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        arg = _phi_pos(cop_alpha, g).sum(axis=1)
+        lp = _safe_log(-np.asarray(cop_alpha.phi_prime(g)))
+        x = log_w + np.where(obs, lp, 0.0).sum(axis=1)
+        for d, idx in d_groups:
+            psi_d = np.asarray(cop_alpha.psi_deriv(arg[idx], int(d)))
+            x[idx] += _safe_log(np.abs(psi_d))
+    return x
+
+
 class LikelihoodWorkspace:
     """Per-dataset caches for the profile log-likelihood in the global
     association parameter.
@@ -102,20 +137,9 @@ class LikelihoodWorkspace:
 
     # -- alpha-free caches ---------------------------------------------------
 
-    def _g_parts(self, k, t_onset, v):
-        """H2 and H12 * (-dS_k/dt) at (S_k(t_onset), v)."""
-        u = np.asarray(self.marginals[k](t_onset))
-        _, h2, h12 = self.cops[k].partials(u, np.asarray(v))
-        neg_slope = -np.asarray(self.marginals[k].slope(t_onset))
-        return h2, h12 * neg_slope
-
     def _prepare(self, data: SurvivalData):
         n = data.n
-        atom_t, atom_m = self.s_d.atoms(complete_tail=True)
-        left = np.asarray(self.s_d.left_value(atom_t))
-        right = np.asarray(self.s_d(atom_t))
-        right = np.where(atom_t == self.s_d.t_max, 0.0, right)  # tail completion
-        atom_v = 0.5 * (left + right)
+        atom_t, atom_m, atom_v = terminal_atoms(self.s_d)
 
         # cells: a death record has one, at its death time; an alive record
         # has one per atom after its censoring time
@@ -136,8 +160,10 @@ class LikelihoodWorkspace:
         obs = data.delta[row] == 1
         g = np.empty(obs.shape)
         log_w = _safe_log(mass)
-        for k in range(self.k):
-            g[:, k], neg_gp = self._g_parts(k, data.t[row, k], v)
+        for k, marg in enumerate(self.marginals):
+            t_k = data.t[row, k]
+            g[:, k], h12 = onset_partials(marg, self.cops[k], t_k, v)
+            neg_gp = h12 * -np.asarray(marg.slope(t_k))
             log_w[obs[:, k]] += _safe_log(neg_gp[obs[:, k]])
 
         keep = np.isfinite(log_w)
@@ -165,24 +191,14 @@ class LikelihoodWorkspace:
 
     # -- likelihood ------------------------------------------------------------
 
-    def _log_psi_d(self, cop, t, d):
-        """log of (-1)^d psi^(d)(t), elementwise."""
-        vals = np.asarray(cop.psi_deriv(t, int(d)))
-        return _safe_log(np.abs(vals))
-
     def loglik_terms(self, cop_alpha: ArchimedeanCopula):
         """Log contribution of every record that was not skipped, in data
-        order: logsumexp over its cells of
-        log w + sum_obs log(-phi'(G_k)) + log|psi^(d)(sum_k phi(G_k))|."""
+        order: logsumexp over its cells of `cell_log_terms`."""
         cells = self._cells
-        g = cells["g"]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            arg = _phi_pos(cop_alpha, g).sum(axis=1)
-            lp = _safe_log(-np.asarray(cop_alpha.phi_prime(g)))
-            x = cells["log_w"] + np.where(cells["obs"], lp, 0.0).sum(axis=1)
-            for d, idx in cells["d_groups"]:
-                x[idx] += self._log_psi_d(cop_alpha, arg[idx], d)
-            return _segment_logsumexp(x, self._rec["start"], cells["rec"])
+        x = cell_log_terms(
+            cop_alpha, cells["g"], cells["obs"], cells["log_w"], cells["d_groups"]
+        )
+        return _segment_logsumexp(x, self._rec["start"], cells["rec"])
 
     # -- profile likelihood ------------------------------------------------------
 

@@ -17,7 +17,7 @@ from scipy import optimize
 
 from .copulas import ArchimedeanCopula, tau_from_theta, theta_from_tau
 from .data import SurvivalData
-from .errors import DomainError, NoComparablePairs, NoRootError
+from .errors import NoComparablePairs, NoRootError
 from .survival import StepSurvival, kaplan_meier
 
 
@@ -232,22 +232,3 @@ def self_consistent_marginal(
         info["iterations"] = it
         info["converged"] = converged
     return StepSurvival(grid, s, t_max=data.t_max)
-
-
-def conditional_survival_G(t_k, t, s_k, s_d, cop: ArchimedeanCopula):
-    """(G, G') where G(t_k; t) is the onset survival conditional on death at t.
-
-    G = H2(S_k(t_k), S_D(t)); G' differentiates in t_k via the mixed partial
-    and the interpolant slope of S_k, so G' <= 0.
-    """
-    t_k_arr = np.asarray(t_k, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_k_arr > t_arr + 1e-12):
-        raise DomainError("conditional survival needs t_k <= t")
-    u = np.asarray(s_k(t_k_arr))
-    v = np.asarray(s_d(t_arr))
-    _, g, h12 = cop.partials(u, v)
-    gp = h12 * np.asarray(s_k.slope(t_k_arr))
-    if np.ndim(g) == 0 or (hasattr(g, "ndim") and g.ndim == 0):
-        return float(g), float(gp)
-    return g, gp

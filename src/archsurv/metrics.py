@@ -235,20 +235,34 @@ def evaluate_model(
     grid = cfg.grid()
 
     # score a subject only if every method's prediction is identified, so
-    # the reports compare like with like
-    usable, queries, per_method = [], [], {m: [] for m in methods}
+    # the reports compare like with like; each prediction is reduced to its
+    # summaries and its curve on the score grid as soon as it is made
+    usable, landmarks = [], []
+    per_method = {m: ([], [], [], []) for m in methods}  # cmst, cqst, interval, curve
     for i in range(data.n):
         q = subject_query(data, i)
         if q.landmark >= model.t_max:
             continue
         try:
-            preds = {m: _curve_for(m, q, model, None) for m in methods}
+            preds = [_curve_for(m, q, model, None) for m in methods]
         except NotIdentified:
             continue
         usable.append(i)
-        queries.append(q)
-        for m in methods:
-            per_method[m].append(preds[m])
+        landmarks.append(q.landmark)
+        past = grid > q.landmark
+        for m, pred in zip(methods, preds):
+            cmst_v, cqst_v, intervals, curves = per_method[m]
+            cmst_v.append(cmst(pred, t_star))
+            try:
+                cqst_v.append(cqst(pred, cfg.qpe_tau))
+            except NotIdentified:
+                cqst_v.append(t_star)
+            intervals.append(
+                prediction_interval(pred, t_u_star=t_star, levels=interval_levels)
+            )
+            curve = np.ones(grid.size)
+            curve[past] = pred.at(grid[past])
+            curves.append(curve)
     n_skipped = data.n - len(usable)
     if not usable:
         raise EstimationError("evaluate", "no subject has an identified prediction")
@@ -256,21 +270,8 @@ def evaluate_model(
 
     reports = {}
     for method in methods:
-        cmst_v = np.empty(idx.size)
-        cqst_v = np.empty(idx.size)
-        curves = np.ones((idx.size, grid.size))
-        intervals = []
-        for row, (q, pred) in enumerate(zip(queries, per_method[method])):
-            cmst_v[row] = cmst(pred, t_star)
-            try:
-                cqst_v[row] = cqst(pred, cfg.qpe_tau)
-            except NotIdentified:
-                cqst_v[row] = t_star
-            intervals.append(
-                prediction_interval(pred, t_u_star=t_star, levels=interval_levels)
-            )
-            past = grid > q.landmark
-            curves[row, past] = pred.at(grid[past])
+        cmst_v, cqst_v, intervals, curves = per_method[method]
+        curves = np.array(curves)
         mspe, qpe, _ = point_errors(
             cmst_v,
             cqst_v,
@@ -281,15 +282,13 @@ def evaluate_model(
             s_c=s_c,
         )
         bs = brier_curve(
-            curves, grid, data.y[idx], data.dtilde[idx],
-            [q.landmark for q in queries], s_c,
+            curves, grid, data.y[idx], data.dtilde[idx], landmarks, s_c
         )
         auc = np.full(grid.size, np.nan)
         for j, t in enumerate(grid):
             try:
                 auc[j] = auc_t(
-                    curves[:, j], data.y[idx], data.dtilde[idx],
-                    [q.landmark for q in queries], s_c, t,
+                    curves[:, j], data.y[idx], data.dtilde[idx], landmarks, s_c, t
                 )
             except NoComparablePairs:
                 pass

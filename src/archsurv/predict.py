@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NotIdentified
-from .likelihood import FittedJointModel
+from .likelihood import FittedJointModel, cell_log_terms, onset_partials
 
 DEFAULT_EXTRA_GRID = 200
 COARSE_GRID_FRACTION = 0.1
@@ -112,32 +112,40 @@ def _single_event_curve(model, k, t_k, anchor, times):
 
 
 def q_joint_density(query: PredictionQuery, t, model: FittedJointModel):
-    """Joint onset density factor against candidate death times t.
+    """Joint density of the observed onsets given death at each candidate
+    time t, up to the factor prod_k(-S_k'(t_k)), which is free of t:
 
-    (-1)^m psi^(m)(sum phi(G_k)) * prod (-phi'(G_k)) (-G_k'); non-negative,
-    defined for t above the landmark.
+        |psi^(m)(sum phi(G_k))| * prod(-phi'(G_k)) * H12_k,
+
+    with (G_k, H12_k) at (S_k(t_k), S_D(t)).  Each t is one cell of the
+    likelihood's kernel (`cell_log_terms`), with S_D taken as for the
+    likelihood's terminal atoms.  Non-negative; defined for t above the
+    landmark.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= query.landmark):
         raise DomainError("candidate death times must exceed the landmark")
     if query.m == 0:
         raise DomainError("joint density factor needs at least one onset")
-    cop_a = model.copula_alpha()
-    v = np.asarray(model.terminal.mid_value(t))
-    arg = np.zeros_like(v)
-    prod = np.ones_like(v)
-    for k, t_k in query.events:
-        cop_k = model.copula_for(k)
-        u = float(model.marginals[k](t_k))
-        _, g, h12 = cop_k.partials(np.full(v.shape, u), v)
-        neg_gp = h12 * (-float(model.marginals[k].slope(t_k)))
-        arg = arg + np.asarray(cop_a.phi(np.clip(g, 1e-300, 1.0)))
-        prod = prod * (-np.asarray(cop_a.phi_prime(g))) * neg_gp
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi_m = np.abs(np.asarray(cop_a.psi_deriv(arg, query.m)))
-        out = psi_m * prod
-    out = np.where(np.isfinite(out), out, 0.0)
-    return out if out.ndim else float(out)
+    v = np.atleast_1d(model.terminal.completed().mid_value(t))
+    g = np.empty((v.size, query.m))
+    log_w = np.zeros(v.size)
+    with np.errstate(divide="ignore"):
+        for j, (k, t_k) in enumerate(query.events):
+            cop_k = model.copula_for(k)
+            g[:, j], h12 = onset_partials(model.marginals[k], cop_k, t_k, v)
+            log_w += np.log(h12)
+    # a cell with a vanishing density factor has zero density, as for the
+    # likelihood's records
+    keep = np.flatnonzero(np.isfinite(log_w))
+    out = np.zeros(v.size)
+    out[keep] = np.exp(
+        cell_log_terms(
+            model.copula_alpha(), g[keep], np.ones((keep.size, query.m), bool),
+            log_w[keep], [(query.m, slice(None))],
+        )
+    )
+    return out if t.ndim else float(out[0])
 
 
 def predict_survival_dp(
@@ -167,7 +175,7 @@ def predict_survival_dp(
     q_vals = q_joint_density(query, atoms, model)
     weights = q_vals * masses
     den = float(weights.sum())
-    if den <= 0:
+    if not den > 0:
         # a caller that keeps the exception keeps this frame through its
         # traceback; drop the grid and per-atom arrays so it holds none
         del times, atoms, masses, sel, q_vals, weights

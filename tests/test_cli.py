@@ -171,6 +171,27 @@ def test_predict_flow_and_m0_equals_p0(workdir, tmp_path):
     assert summary[1].startswith("id,method,landmark,cmst,cqst_0.025")
 
 
+def test_predict_onset_on_flat_marginal_segment(tmp_path):
+    # the marginal's slope at an onset cancels from the dynamic prediction,
+    # so an onset where the fitted marginal is flat still predicts
+    from tests.test_predict import injected_model, with_flat_segment
+
+    model = with_flat_segment(injected_model(), 0, 0.404)
+    model.save(tmp_path / "model.json")
+    qpath = tmp_path / "queries.csv"
+    write_query_csv(qpath, [PredictionQuery(((0, 0.404), (1, 0.9)))], k=3, ids=["a"])
+    out = tmp_path / "pred.csv"
+    assert (
+        run_cli(
+            ["predict", "--model", tmp_path / "model.json", "--queries", qpath,
+             "--out", out, "--method", "DP"]
+        )
+        == 0
+    )
+    values = [float(ln.split(",")[3]) for ln in out.read_text().splitlines()[2:]]
+    assert values and np.all(np.diff(values) <= 1e-12)
+
+
 def test_predict_reload_identical(workdir, tmp_path):
     tmp, _ = workdir
     from archsurv.likelihood import FittedJointModel

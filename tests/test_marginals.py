@@ -7,16 +7,17 @@ import pytest
 from archsurv.copulas import ArchimedeanCopula, copula_from_tau, theta_from_tau
 from archsurv.data import SurvivalData
 from archsurv.errors import DomainError, NoRootError
+from archsurv.likelihood import FittedJointModel, onset_partials
 from archsurv.marginals import (
     PairwiseAssociation,
     WeightSpec,
     censoring_km,
     concordance_score,
-    conditional_survival_G,
     self_consistent_marginal,
     solve_theta,
     terminal_km,
 )
+from archsurv.predict import PredictionQuery, q_joint_density
 from archsurv.simulate import SimConfig, ex1_config, simulate_dataset
 from archsurv.survival import StepSurvival, kaplan_meier
 
@@ -224,22 +225,28 @@ def _toy_model():
 def test_conditional_G_at_zero_is_one():
     s_k, s_d = _toy_model()
     cop = copula_from_tau("frank", 0.5)
-    g, gp = conditional_survival_G(0.0, 2.0, s_k, s_d, cop)
+    g, _ = onset_partials(s_k, cop, 0.0, s_d(2.0))
     assert g == pytest.approx(1.0, abs=1e-9)
 
 
 def test_conditional_G_independence_is_marginal():
     s_k, s_d = _toy_model()
     cop = ArchimedeanCopula("gumbel", 1.0)
-    g, _ = conditional_survival_G(1.0, 3.0, s_k, s_d, cop)
+    g, _ = onset_partials(s_k, cop, 1.0, s_d(3.0))
     assert g == pytest.approx(float(s_k(1.0)), rel=1e-9)
 
 
 def test_conditional_G_rejects_bad_ordering():
+    # G(t_k; t) conditions on death at t >= t_k; prediction, the caller that
+    # takes candidate death times, rejects one before an onset
     s_k, s_d = _toy_model()
-    cop = copula_from_tau("frank", 0.5)
+    assoc = PairwiseAssociation(0, theta_from_tau("frank", 0.5), 0.5, WeightSpec())
+    model = FittedJointModel(
+        family="frank", k=1, thetas=[assoc], marginals=[s_k], terminal=s_d,
+        censoring=s_d, t_max=10.0, alpha=theta_from_tau("frank", 0.3),
+    )
     with pytest.raises(DomainError):
-        conditional_survival_G(3.0, 1.0, s_k, s_d, cop)
+        q_joint_density(PredictionQuery(((0, 3.0),)), [1.0], model)
 
 
 def test_conditional_G_matches_h_finite_difference():
@@ -251,7 +258,7 @@ def test_conditional_G_matches_h_finite_difference():
         t = t_k + rng.uniform(0.1, 2.0)
         u = float(s_k(t_k))
         v = float(s_d(t))
-        g, _ = conditional_survival_G(t_k, t, s_k, s_d, cop)
+        g, _ = onset_partials(s_k, cop, t_k, v)
         h = 1e-5
         fd = (cop.h(u, v + h) - cop.h(u, v - h)) / (2 * h)
         assert g == pytest.approx(fd, rel=1e-3)
@@ -261,7 +268,7 @@ def test_conditional_G_monotone_in_onset_time():
     s_k, s_d = _toy_model()
     cop = copula_from_tau("frank", 0.6)
     ts = np.linspace(0.1, 2.9, 15)
-    gs = [conditional_survival_G(x, 3.0, s_k, s_d, cop)[0] for x in ts]
+    gs = [onset_partials(s_k, cop, x, s_d(3.0))[0] for x in ts]
     assert np.all(np.diff(gs) <= 1e-12)
 
 

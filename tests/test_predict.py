@@ -137,13 +137,32 @@ def test_q_joint_density_independence_product():
     q = PredictionQuery(((0, 0.4), (1, 0.8)))
     ts = np.array([1.0, 2.0, 4.0])
     vals = np.asarray(q_joint_density(q, ts, model))
-    # under independence the factor is the product of onset densities,
-    # constant over candidate death times
+    # under independence the joint onset density given death is the product
+    # of the marginal densities, which is the t-free factor prod(-S_k'(t_k))
+    # left out of the returned density: what remains is 1 at every t
     assert np.max(np.abs(np.diff(vals))) < 1e-4 * vals[0]
-    f1 = RATE_K * np.exp(-RATE_K * 0.4)
-    f2 = RATE_K * np.exp(-RATE_K * 0.8)
-    # marginal density recovered through the interpolant slope of the grid
-    assert vals[0] == pytest.approx(f1 * f2, rel=2e-2)
+    assert vals[0] == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_q_joint_density_matches_direct_formula(family):
+    # the log-domain kernel against the density evaluated term by term:
+    # |psi^(m)(sum phi(G_k))| * prod(-phi'(G_k)) * H12_k at S_D's completed
+    # midpoint values
+    model = injected_model(family=family)
+    q = PredictionQuery(((0, 0.3), (1, 0.7), (2, 1.2)))
+    atoms, _ = model.terminal.atoms(complete_tail=True)
+    ts = atoms[atoms > q.landmark][::50]
+    v = model.terminal.completed().mid_value(ts)
+    cop_a = model.copula_alpha()
+    arg, prod = 0.0, 1.0
+    for k, t_k in q.events:
+        _, g, h12 = model.copula_for(k).partials(model.marginals[k](t_k), v)
+        arg = arg + cop_a.phi(g)
+        prod = prod * -cop_a.phi_prime(g) * h12
+    direct = np.abs(cop_a.psi_deriv(arg, q.m)) * prod
+    assert np.all(direct > 0)
+    assert np.allclose(q_joint_density(q, ts, model), direct, rtol=1e-12, atol=0)
 
 
 def test_q_joint_density_rejects_times_before_landmark():
@@ -162,6 +181,8 @@ def test_integrated_q2_matches_mixed_partial_oracle():
     atoms, masses = model.terminal.atoms(complete_tail=True)
     sel = atoms > a
     impl = float(np.sum(q_joint_density(q, atoms[sel], model) * masses[sel]))
+    # the density is returned up to the t-free prod(-S_k'(t_k))
+    impl *= (-model.marginals[0].slope(t1)) * (-model.marginals[1].slope(t2))
 
     cop_a = ArchimedeanCopula("frank", model.alpha)
     cop_1 = model.copula_for(0)
@@ -284,15 +305,48 @@ def test_dp_landmark_beyond_followup_not_identified():
         predict_survival_dp(PredictionQuery(((0, 2.0),)), model)
 
 
+def with_flat_segment(model, k, t_k):
+    """The model with onset k's marginal flat on the grid segment holding
+    t_k; S_k(t_k) itself is unchanged."""
+    marg = model.marginals[k]
+    j = int(np.searchsorted(marg.times, t_k, side="left"))
+    values = marg.values.copy()
+    values[j] = values[j - 1]
+    flat = StepSurvival(marg.times, values, t_max=marg.t_max)
+    assert flat(t_k) == marg(t_k) and flat.slope(t_k) == 0.0
+    margs = list(model.marginals)
+    margs[k] = flat
+    return dataclasses.replace(model, marginals=margs)
+
+
+def test_dp_onset_on_flat_marginal_segment():
+    # the slope of an onset's marginal enters the history density as a
+    # factor free of the death time, so it cancels in the ratio: an onset on
+    # a flat segment predicts as one on a sloped segment with the same S_k
+    model = injected_model()
+    q = PredictionQuery(((0, 0.404), (1, 0.9)))
+    got = predict_survival_dp(q, with_flat_segment(model, 0, 0.404))
+    want = predict_survival_dp(q, model)
+    assert np.array_equal(got.times, want.times)
+    assert np.allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
+
+
 def test_dp_vanishing_denominator_frame_holds_no_arrays():
     # a caller that stores the exception keeps the raising frame alive
     # through its traceback, so that frame must not pin the grid or the
-    # per-atom arrays
-    model = injected_model()
-    flat = StepSurvival([model.t_max], [1.0], t_max=model.t_max)
-    model = dataclasses.replace(model, marginals=[flat, *model.marginals[1:]])
+    # per-atom arrays.  An onset before its marginal's first jump has
+    # S_k = 1, where a Gumbel theta = 40 density factor H12 underflows to 0
+    model = injected_model(family="gumbel")
+    model = dataclasses.replace(
+        model,
+        thetas=[PairwiseAssociation(0, 40.0, 1.0 - 1.0 / 40.0, WeightSpec()),
+                *model.thetas[1:]],
+    )
+    first_jump = float(model.marginals[0].times[0])
     with pytest.raises(NotIdentified, match="denominator") as info:
-        predict_survival_dp(PredictionQuery(((0, 0.4), (1, 0.9))), model)
+        predict_survival_dp(
+            PredictionQuery(((0, 0.5 * first_jump), (1, 0.9))), model
+        )
     held, tb = [], info.value.__traceback__
     while tb is not None:
         if tb.tb_frame.f_code.co_name == "predict_survival_dp":
