@@ -23,7 +23,6 @@ from .marginals import (
     PairwiseAssociation,
     WeightSpec,
     censoring_km,
-    concordance_score,
     self_consistent_marginal,
     solve_theta,
     terminal_km,
@@ -72,7 +71,6 @@ __all__ = [
     "WeightSpec",
     "censoring_km",
     "terminal_km",
-    "concordance_score",
     "solve_theta",
     "self_consistent_marginal",
     "LikelihoodWorkspace",

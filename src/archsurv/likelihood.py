@@ -362,10 +362,13 @@ def fit_joint_model(
 
     thetas, marginals = [], []
     for k in range(data.k):
+        root = {}
         try:
-            assoc = solve_theta(k, data, family, weight_spec, s_c=s_c)
+            assoc = solve_theta(k, data, family, weight_spec, s_c=s_c, info=root)
         except Exception as exc:
             raise EstimationError(f"theta[{k + 1}]", str(exc)) from exc
+        diagnostics[f"theta_{k + 1}_pairs"] = root["pairs"]
+        diagnostics[f"theta_{k + 1}_evals"] = root["evals"]
         info = {}
         try:
             marg = self_consistent_marginal(

@@ -51,16 +51,28 @@ def censoring_km(data: SurvivalData) -> StepSurvival:
     return kaplan_meier(data.y, 1 - data.dtilde, t_max=data.t_max)
 
 
-def _count_joint_exceed(t, y, x_q, y_q, strict=True):
-    """#subjects with T > x and Y > y per query, chunked to bound memory."""
-    out = np.empty(x_q.size)
-    op = np.greater if strict else np.greater_equal
-    chunk = max(1, int(2e7) // max(t.size, 1))
-    for start in range(0, x_q.size, chunk):
-        sl = slice(start, min(start + chunk, x_q.size))
-        hits = op(t[None, :], x_q[sl, None]) & op(y[None, :], y_q[sl, None])
-        out[sl] = hits.sum(axis=1)
-    return out
+def _suffix_counts(t, y):
+    """Rank-indexed joint exceedance counts of the sample (t, y).
+
+    Returns the unique values ``ut``, ``uy``, each subject's ranks ``rt``,
+    ``ry`` into them, and an int32 ``table`` of shape (#ut + 1, #uy + 1)
+    with ``table[r, s] = #{j: rt_j >= r, ry_j >= s}``.  For a query
+    (x, y) = (ut[r], uy[s]) on data values, the strict count
+    #{j: T_j > x, Y_j > y} is ``table[r + 1, s + 1]`` and the non-strict
+    count #{j: T_j >= x, Y_j >= y} is ``table[r, s]``; for any x the
+    non-strict row is ``searchsorted(ut, x, "left")``, and row #ut reads 0.
+    Building the table is O(n log n + #ut * #uy), at most O(n^2); each
+    query is O(1).
+    """
+    ut, rt = np.unique(t, return_inverse=True)
+    uy, ry = np.unique(y, return_inverse=True)
+    rt, ry = rt.astype(np.int32), ry.astype(np.int32)
+    table = np.zeros((ut.size + 1, uy.size + 1), dtype=np.int32)
+    np.add.at(table, (rt, ry), 1)
+    rev = table[::-1, ::-1]
+    np.cumsum(rev, axis=0, out=rev)
+    np.cumsum(rev, axis=1, out=rev)
+    return ut, uy, rt, ry, table
 
 
 class _PairTable:
@@ -69,7 +81,8 @@ class _PairTable:
     A pair contributes when the smaller observed onset is an event and the
     smaller observed terminal time is a death; tied pairs are dropped.  The
     joint-survival argument s(x, y) is the censoring-weighted fraction of
-    subjects with T > x and Y > y.
+    subjects with T > x and Y > y.  The pair minima are data values, so
+    every count is one lookup in the rank-indexed table of `_suffix_counts`.
     """
 
     def __init__(self, k, data, s_c, weight_spec):
@@ -78,22 +91,23 @@ class _PairTable:
         y = data.y
         dt = data.dtilde.astype(bool)
         n = data.n
+        ut, uy, rt, ry, table = _suffix_counts(t, y)
         iu, ju = np.triu_indices(n, k=1)
 
-        t_i, t_j = t[iu], t[ju]
-        y_i, y_j = y[iu], y[ju]
-        no_tie = (t_i != t_j) & (y_i != y_j)
-        d_min = np.where(t_i < t_j, d[iu], d[ju])
-        dt_min = np.where(y_i < y_j, dt[iu], dt[ju])
+        rt_i, rt_j = rt[iu], rt[ju]
+        ry_i, ry_j = ry[iu], ry[ju]
+        no_tie = (rt_i != rt_j) & (ry_i != ry_j)
+        d_min = np.where(rt_i < rt_j, d[iu], d[ju])
+        dt_min = np.where(ry_i < ry_j, dt[iu], dt[ju])
         usable = no_tie & d_min & dt_min
 
-        x_pair = np.minimum(t_i, t_j)[usable]
-        y_pair = np.minimum(y_i, y_j)[usable]
-        conc = (((t_i - t_j) * (y_i - y_j)) > 0)[usable]
+        rx_pair = np.minimum(rt_i, rt_j)[usable]  # ranks of the pair minima
+        ry_pair = np.minimum(ry_i, ry_j)[usable]
+        conc = ((rt_i < rt_j) == (ry_i < ry_j))[usable]
 
         # s(x, y): IPCW-adjusted joint survival at the pair minima
-        count = _count_joint_exceed(t, y, x_pair, y_pair)
-        sc_y = np.asarray(s_c(y_pair), dtype=float)
+        count = table[rx_pair + 1, ry_pair + 1]
+        sc_y = np.asarray(s_c(uy), dtype=float)[ry_pair]
         with np.errstate(divide="ignore", invalid="ignore"):
             s_val = count / (n * sc_y)
         ok = sc_y > 0
@@ -105,11 +119,11 @@ class _PairTable:
         elif weight_spec.kind == "dampened":
             a = weight_spec.a if weight_spec.a is not None else np.quantile(t, 0.9)
             b = weight_spec.b if weight_spec.b is not None else np.quantile(y, 0.9)
-            xp, yp = x_pair[ok], y_pair[ok]
-            inv = _count_joint_exceed(
-                t, y, np.minimum(a, xp), np.minimum(b, yp), strict=False
-            )
-            inv /= n
+            # non-strict counts at (min(a, x), min(b, y)): the row of a
+            # minimum is the minimum of the rows
+            ra = np.searchsorted(ut, a, "left")
+            rb = np.searchsorted(uy, b, "left")
+            inv = table[np.minimum(ra, rx_pair[ok]), np.minimum(rb, ry_pair[ok])] / n
             self.w = np.where(inv > 0, 1.0 / np.maximum(inv, 1e-12), 0.0)
         else:
             raise ValueError(f"unknown weight kind {weight_spec.kind!r}")
@@ -121,16 +135,6 @@ class _PairTable:
         return float(np.sum(self.w * (self.conc - p_conc)) / self.w.sum())
 
 
-def concordance_score(theta, k, data, family, weight_spec=WeightSpec(), s_c=None):
-    """Value of the estimating equation for the k-th association at theta."""
-    if s_c is None:
-        s_c = censoring_km(data)
-    table = _PairTable(k, data, s_c, weight_spec)
-    if table.s.size == 0:
-        raise NoComparablePairs(f"event {k}: no comparable pairs")
-    return table.score(ArchimedeanCopula(family, theta))
-
-
 def solve_theta(
     k,
     data,
@@ -138,8 +142,14 @@ def solve_theta(
     weight_spec=WeightSpec(),
     s_c=None,
     tau_bracket=(0.001, 0.99),
+    info=None,
 ) -> PairwiseAssociation:
-    """Root of the concordance equation, searched on the Kendall-tau scale."""
+    """Root of the concordance equation, searched on the Kendall-tau scale.
+
+    If `info` is a dict it receives the number of usable pairs (`pairs`)
+    and brentq's function evaluations (`evals`, not counting the two
+    bracket checks before it).
+    """
     if s_c is None:
         s_c = censoring_km(data)
     table = _PairTable(k, data, s_c, weight_spec)
@@ -156,8 +166,11 @@ def solve_theta(
             f"event {k}: no sign change on tau in [{lo}, {hi}] "
             f"(U({lo})={f_lo:.4g}, U({hi})={f_hi:.4g})"
         )
-    tau_hat = float(optimize.brentq(f, lo, hi, xtol=1e-6))
-    theta_hat = theta_from_tau(family, tau_hat)
+    tau_hat, root = optimize.brentq(f, lo, hi, xtol=1e-6, full_output=True)
+    if info is not None:
+        info["pairs"] = int(table.s.size)
+        info["evals"] = int(root.function_calls)
+    theta_hat = theta_from_tau(family, float(tau_hat))
     return PairwiseAssociation(k, theta_hat, tau_from_theta(family, theta_hat), weight_spec)
 
 
@@ -187,7 +200,7 @@ def self_consistent_marginal(
     grid = np.unique(t)
     s = np.asarray(kaplan_meier(t, d, t_max=data.t_max)(grid), dtype=float)
 
-    at_risk = (t[None, :] > grid[:, None]).sum(axis=1).astype(float)
+    at_risk = (n - np.searchsorted(np.sort(t), grid, "right")).astype(float)
 
     cens = ~d
     both_cens = cens & (data.dtilde == 0)

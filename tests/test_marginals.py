@@ -6,13 +6,14 @@ import pytest
 
 from archsurv.copulas import ArchimedeanCopula, copula_from_tau, theta_from_tau
 from archsurv.data import SurvivalData
-from archsurv.errors import DomainError, NoRootError
-from archsurv.likelihood import FittedJointModel, onset_partials
+from archsurv.errors import DomainError, NoComparablePairs, NoRootError
+from archsurv.likelihood import FittedJointModel, fit_joint_model, onset_partials
 from archsurv.marginals import (
     PairwiseAssociation,
     WeightSpec,
+    _PairTable,
+    _suffix_counts,
     censoring_km,
-    concordance_score,
     self_consistent_marginal,
     solve_theta,
     terminal_km,
@@ -24,6 +25,132 @@ from archsurv.survival import StepSurvival, kaplan_meier
 
 def _sim(config):
     return simulate_dataset(config)
+
+
+def concordance_score(theta, k, data, family):
+    """Value of the estimating equation for the k-th association at theta."""
+    table = _PairTable(k, data, censoring_km(data), WeightSpec())
+    return table.score(ArchimedeanCopula(family, theta))
+
+
+# ---------------------------------------------------------------------------
+# joint exceedance counts against the dense O(n) per query oracle
+
+
+def _count_joint_exceed(t, y, x_q, y_q, strict=True):
+    """#subjects with T > x and Y > y per query (>= both if not strict)."""
+    op = np.greater if strict else np.greater_equal
+    return (op(t[None, :], x_q[:, None]) & op(y[None, :], y_q[:, None])).sum(axis=1)
+
+
+def _dense_pair_table(k, data, s_c, weight_spec):
+    """(s, conc, w) of the concordance equation, counted subject by subject."""
+    t, d = data.t[:, k], data.delta[:, k].astype(bool)
+    y, dt, n = data.y, data.dtilde.astype(bool), data.n
+    iu, ju = np.triu_indices(n, k=1)
+    t_i, t_j, y_i, y_j = t[iu], t[ju], y[iu], y[ju]
+    usable = (
+        (t_i != t_j) & (y_i != y_j)
+        & np.where(t_i < t_j, d[iu], d[ju])
+        & np.where(y_i < y_j, dt[iu], dt[ju])
+    )
+    x_pair = np.minimum(t_i, t_j)[usable]
+    y_pair = np.minimum(y_i, y_j)[usable]
+    conc = (((t_i - t_j) * (y_i - y_j)) > 0)[usable]
+    sc_y = np.asarray(s_c(y_pair), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_val = _count_joint_exceed(t, y, x_pair, y_pair) / (n * sc_y)
+    ok = sc_y > 0
+    s = np.clip(s_val[ok], 1e-10, 1.0)
+    if weight_spec.kind == "unit":
+        return s, conc[ok].astype(float), np.ones(s.size)
+    a = weight_spec.a if weight_spec.a is not None else np.quantile(t, 0.9)
+    b = weight_spec.b if weight_spec.b is not None else np.quantile(y, 0.9)
+    inv = _count_joint_exceed(
+        t, y, np.minimum(a, x_pair[ok]), np.minimum(b, y_pair[ok]), strict=False
+    ) / n
+    w = np.where(inv > 0, 1.0 / np.maximum(inv, 1e-12), 0.0)
+    return s, conc[ok].astype(float), w
+
+
+def _tied_data(rng, n):
+    """One onset on integer times 0..5: almost every time is tied."""
+    y = rng.integers(0, 6, size=n).astype(float)
+    delta = rng.integers(0, 2, size=n)
+    t = np.where(delta == 1, np.floor(rng.uniform(0, 1, size=n) * (y + 1)), y)
+    return SurvivalData(t[:, None], delta[:, None], y, rng.integers(0, 2, size=n))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_suffix_counts_match_dense_oracle(seed):
+    rng = np.random.default_rng(seed)
+    data = _tied_data(rng, int(rng.integers(2, 301)))
+    t, y = data.t[:, 0], data.y
+    ut, uy, rt, ry, table = _suffix_counts(t, y)
+    assert np.array_equal(ut[rt], t) and np.array_equal(uy[ry], y)
+    # every (x, y) on data values, strict and non-strict
+    x_q, y_q = (g.ravel() for g in np.meshgrid(ut, uy, indexing="ij"))
+    strict = _count_joint_exceed(t, y, x_q, y_q, strict=True)
+    loose = _count_joint_exceed(t, y, x_q, y_q, strict=False)
+    assert np.array_equal(table[1:, 1:].ravel(), strict)
+    assert np.array_equal(table[:-1, :-1].ravel(), loose)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pair_table_matches_dense_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    data = _tied_data(rng, int(rng.integers(2, 301)))
+    s_c = censoring_km(data)
+    t, y = data.t[:, 0], data.y
+    specs = [
+        WeightSpec(),
+        WeightSpec("dampened"),
+        WeightSpec("dampened", a=float(t[0]), b=float(y[-1])),  # on data values
+        WeightSpec("dampened", a=2.5, b=3.5),  # between data values
+        WeightSpec("dampened", a=t.max() + 1.0, b=y.max() + 1.0),  # beyond
+    ]
+    for spec in specs:
+        table = _PairTable(0, data, s_c, spec)
+        s, conc, w = _dense_pair_table(0, data, s_c, spec)
+        assert np.array_equal(table.s, s)
+        assert np.array_equal(table.conc, conc)
+        assert np.array_equal(table.w, w)
+
+
+@pytest.mark.parametrize("kind", ["unit", "dampened"])
+@pytest.mark.parametrize(
+    "t, delta, y, dtilde",
+    [
+        ([[1.0]], [[1]], [2.0], [1]),  # one subject
+        ([[1.0]] * 4, [[1]] * 4, [2.0, 3.0, 4.0, 5.0], [1] * 4),  # onsets tied
+        ([[2.0], [3.0], [4.0]], [[0]] * 3, [2.0, 3.0, 4.0], [1] * 3),  # no onset
+        ([[1.0], [2.0], [3.0]], [[1]] * 3, [2.0, 3.0, 4.0], [0] * 3),  # no death
+    ],
+)
+def test_solve_theta_without_comparable_pairs(t, delta, y, dtilde, kind):
+    data = SurvivalData(t=t, delta=delta, y=y, dtilde=dtilde)
+    with pytest.raises(NoComparablePairs):
+        solve_theta(0, data, "frank", weight_spec=WeightSpec(kind))
+
+
+def test_solve_theta_large_n():
+    cfg = ex1_config(k=3, n_train=3200, n_test=0, seed=41)
+    data = _sim(cfg).train
+    est = solve_theta(0, data, "frank")
+    assert est.tau_hat == pytest.approx(cfg.tau_thetas[0], abs=3.5 / np.sqrt(data.n))
+
+
+def test_theta_counts_in_diagnostics():
+    data = _sim(ex1_config(k=3, n_train=150, seed=43)).train
+    fit = fit_joint_model(data, "frank")
+    s_c = censoring_km(data)
+    for k in range(data.k):
+        info = {}
+        solve_theta(k, data, "frank", s_c=s_c, info=info)
+        assert info["pairs"] == _PairTable(k, data, s_c, WeightSpec()).s.size > 0
+        assert info["evals"] > 0
+        assert fit.diagnostics[f"theta_{k + 1}_pairs"] == info["pairs"]
+        assert fit.diagnostics[f"theta_{k + 1}_evals"] == info["evals"]
 
 
 def test_concordance_single_pair_arithmetic():
