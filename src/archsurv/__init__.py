@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .copulas import (
     ArchimedeanCopula,
-    copula_from_tau,
     tau_from_theta,
     theta_from_tau,
 )
@@ -53,7 +52,6 @@ from .simulate import (
     ex1_config,
     ex2_config,
     ex3_config,
-    pairwise_kendall,
     simulate_dataset,
     simulate_latent,
 )
@@ -61,7 +59,6 @@ from .survival import StepSurvival, kaplan_meier
 
 __all__ = [
     "ArchimedeanCopula",
-    "copula_from_tau",
     "tau_from_theta",
     "theta_from_tau",
     "SurvivalData",
@@ -102,6 +99,5 @@ __all__ = [
     "ex3_config",
     "simulate_dataset",
     "simulate_latent",
-    "pairwise_kendall",
     "__version__",
 ]

@@ -141,10 +141,11 @@ def cmd_fit(args):
     return 0
 
 
-def _load_model(path) -> FittedJointModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return FittedJointModel.from_dict(doc)
+def _float_list(text, flag):
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def _methods_for(query, model, spec):
@@ -169,15 +170,15 @@ def _predict_one(query, model, method, times):
 
 def cmd_predict(args):
     try:
-        model = _load_model(args.model)
+        model = FittedJointModel.load(args.model)
         ids, queries = read_query_csv(args.queries, k=model.k)
     except (ConfigError, OSError, KeyError, ValueError) as exc:
         _fail(2, str(exc))
     t_u_star = args.t_u_star if args.t_u_star is not None else model.t_max
-    levels = [float(x) for x in args.cqst_levels.split(",")]
-    times_flag = (
-        np.array([float(x) for x in args.times.split(",")]) if args.times else None
-    )
+    levels = _float_list(args.cqst_levels, "--cqst-levels")
+    if not all(0.0 < lv < 1.0 for lv in levels):
+        raise ConfigError(f"--cqst-levels must lie in (0, 1), got {args.cqst_levels}")
+    times_flag = np.array(_float_list(args.times, "--times")) if args.times else None
     header = provenance_line("predict", args.seed, "-")
     curve_rows, summary_rows = [], []
     for rid, q in zip(ids, queries):
@@ -187,27 +188,26 @@ def cmd_predict(args):
                 if times_flag is not None:
                     times = times_flag[times_flag > q.landmark]
                 pred = _predict_one(q, model, method, times)
-            except NotIdentified as exc:
-                _fail(4, f"subject {rid}: {exc}")
+                qs = {}
+                for lv in levels:
+                    try:
+                        qs[lv] = cqst(pred, lv)
+                    except NotIdentified:
+                        qs[lv] = None
+                iv = prediction_interval(pred, t_u_star=t_u_star)
+                mean = cmst(pred, t_u_star)
             except ConfigError as exc:
                 _fail(2, str(exc))
             except ArchsurvError as exc:
                 _fail(4, f"subject {rid}: {exc}")
             for t, v in zip(pred.times, pred.values):
                 curve_rows.append((rid, method, _fmt(t), _fmt(v)))
-            qs = {}
-            for lv in levels:
-                try:
-                    qs[lv] = cqst(pred, lv)
-                except NotIdentified:
-                    qs[lv] = None
-            iv = prediction_interval(pred, t_u_star=t_u_star)
             summary_rows.append(
                 (
                     rid,
                     method,
                     _fmt(q.landmark),
-                    _fmt(cmst(pred, t_u_star)),
+                    _fmt(mean),
                     *[("" if qs[lv] is None else _fmt(qs[lv])) for lv in levels],
                     _fmt(iv.lo),
                     _fmt(iv.hi),
@@ -247,7 +247,7 @@ def _report_table(reports) -> str:
 def cmd_evaluate(args):
     cfg = RunConfig.load(args.config)
     try:
-        model = _load_model(args.model)
+        model = FittedJointModel.load(args.model)
         data = read_data_csv(args.data)
         d_true = None
         if args.latent:
@@ -259,7 +259,7 @@ def cmd_evaluate(args):
                     f"latent file lacks ids: {', '.join(missing[:5])}"
                 )
             d_true = np.array([lookup[str(i)] for i in data.ids])
-    except ConfigError as exc:
+    except (ConfigError, KeyError, ValueError) as exc:
         _fail(2, str(exc))
     mcfg = MetricConfig(
         t_u_star=cfg["metrics.t_u_star"],
@@ -330,6 +330,8 @@ def cmd_crossval(args):
             mc_n=cfg["mc.n"],
             mc_seed=cfg["mc.seed"],
         )
+    except ConfigError as exc:
+        _fail(2, str(exc))
     except ArchsurvError as exc:
         _fail(3, str(exc))
     doc = {

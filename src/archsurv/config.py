@@ -16,9 +16,9 @@ grammar:
     metrics.grid_points  score-curve grid size             (100)
     metrics.ipcw         true | false                      (false)
     cv.scheme            kfold | random                    (kfold)
-    cv.folds             folds for kfold                   (3)
-    cv.test_fraction     test share for random splits      (0.3333)
-    cv.repeats           repetitions                       (1)
+    cv.folds             folds for kfold, >= 2             (3)
+    cv.test_fraction     random-split test share, in (0,1) (0.3333)
+    cv.repeats           repetitions, >= 1                 (1)
     sim.example          ex1 | ex2 | ex3 | custom          (ex1)
     sim.k                number of intermediate events     (3)
     sim.tau_alpha        global association (Kendall)      (0.2)

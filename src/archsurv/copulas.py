@@ -141,21 +141,6 @@ class ArchimedeanCopula:
                 out = -th / np.expm1(th * uc)
         return out if out.ndim else float(out)
 
-    def phi_pprime(self, u):
-        """Second derivative of the generator (positive: phi is convex)."""
-        uc = _clamp_unit(u)
-        th = self.theta
-        with np.errstate(over="ignore"):
-            if self.family == "clayton":
-                out = (th + 1.0) * np.exp(-(th + 2.0) * np.log(uc))
-            elif self.family == "gumbel":
-                x = -np.log(uc)
-                out = th * x ** (th - 2.0) * (th - 1.0 + x) / uc**2
-            else:
-                e = np.expm1(th * uc)
-                out = th**2 * np.exp(th * uc) / e**2
-        return out if out.ndim else float(out)
-
     def cross_ratio(self, s):
         """Oakes cross-ratio gamma(s) = -s phi''(s) / phi'(s) at joint survival s.
 
@@ -330,12 +315,6 @@ class ArchimedeanCopula:
             return float(h1), float(h2), float(h12)
         return h1, h2, h12
 
-    # -- association scale ---------------------------------------------------
-
-    def tau(self) -> float:
-        """Kendall's tau implied by the association parameter."""
-        return tau_from_theta(self.family, self.theta)
-
     # -- frailty --------------------------------------------------------------
 
     def sample_frailty(self, rng: np.random.Generator, size=None):
@@ -358,6 +337,9 @@ class ArchimedeanCopula:
 
         Reusing fixed (u1, u2) across parameter values yields common random
         numbers, keeping Monte Carlo objectives smooth in theta.
+
+        The exact likelihood no longer calls it; it stays only because
+        `perfbench/tracing.py` wraps it by name.
         """
         th = self.theta
         u1, u2 = _as_array(u1), _as_array(u2)
@@ -489,6 +471,3 @@ def theta_from_tau(family: str, tau: float) -> float:
     mag = optimize.brentq(g, lo, hi, xtol=1e-10, rtol=1e-12)
     return float(sgn * mag)
 
-
-def copula_from_tau(family: str, tau: float) -> ArchimedeanCopula:
-    return ArchimedeanCopula(family, theta_from_tau(family, tau))

@@ -49,11 +49,6 @@ class SurvivalData:
     def k(self) -> int:
         return self.t.shape[1]
 
-    @property
-    def d_counts(self) -> np.ndarray:
-        """Number of observed intermediate events per subject."""
-        return self.delta.sum(axis=1)
-
     def validate(self) -> list:
         """Row-indexed descriptions of invariant violations (empty if clean).
 

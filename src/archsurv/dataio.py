@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import SurvivalData
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .predict import PredictionQuery
 from .simulate import LatentTruth
 
@@ -45,7 +45,31 @@ def _fmt(x) -> str:
 def _open_rows(path):
     with open(path, newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.reader(io.StringIO("".join(lines))))
+    rows = list(csv.reader(io.StringIO("".join(lines))))
+    if not rows:
+        raise ConfigError(f"{path}: empty file")
+    return rows
+
+
+def _parse_rows(path, rows, parse):
+    """`parse(row)` of every non-empty row after the header, which fixes the
+    field count.  A malformed row raises ConfigError naming the first five."""
+    out, problems = [], []
+    for rn, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(rows[0]):
+            problems.append(f"line {rn}: {len(row)} fields, expected {len(rows[0])}")
+            continue
+        try:
+            out.append(parse(row))
+        except (ValueError, DomainError) as exc:
+            problems.append(f"line {rn}: {exc}")
+    if problems:
+        raise ConfigError(f"{path}: " + "; ".join(problems[:5]))
+    if not out:
+        raise ConfigError(f"{path}: no data rows")
+    return out
 
 
 def write_data_csv(path, data: SurvivalData, header_line: str = None) -> None:
@@ -70,8 +94,6 @@ def write_data_csv(path, data: SurvivalData, header_line: str = None) -> None:
 
 def read_data_csv(path) -> SurvivalData:
     rows = _open_rows(path)
-    if not rows:
-        raise ConfigError(f"{path}: empty file")
     header = rows[0]
     if len(header) < 4 or header[0] != "id" or header[-2:] != ["y", "dtilde"]:
         raise ConfigError(f"{path}: expected header id,t1..tK,d1..dK,y,dtilde")
@@ -85,31 +107,13 @@ def read_data_csv(path) -> SurvivalData:
     if header != expect:
         raise ConfigError(f"{path}: malformed header {header}")
 
-    ids, t, d, y, dt = [], [], [], [], []
-    problems = []
-    for rn, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(expect):
-            problems.append(f"line {rn}: {len(row)} fields, expected {len(expect)}")
-            continue
-        try:
-            y_i = float(row[1 + 2 * k])
-            t_i = [float(c) if c != "" else y_i for c in row[1 : 1 + k]]
-            d_i = [int(c) for c in row[1 + k : 1 + 2 * k]]
-            dt_i = int(row[2 + 2 * k])
-        except ValueError as exc:
-            problems.append(f"line {rn}: {exc}")
-            continue
-        ids.append(row[0])
-        t.append(t_i)
-        d.append(d_i)
-        y.append(y_i)
-        dt.append(dt_i)
-    if problems:
-        raise ConfigError(f"{path}: " + "; ".join(problems[:5]))
-    if not ids:
-        raise ConfigError(f"{path}: no data rows")
+    def parse(row):
+        y_i = float(row[1 + 2 * k])
+        t_i = [float(c) if c != "" else y_i for c in row[1 : 1 + k]]
+        d_i = [int(c) for c in row[1 + k : 1 + 2 * k]]
+        return row[0], t_i, d_i, y_i, int(row[2 + 2 * k])
+
+    ids, t, d, y, dt = zip(*_parse_rows(path, rows, parse))
     try:
         return SurvivalData(t, d, y, dt, ids=np.array(ids))
     except ValueError as exc:
@@ -132,15 +136,14 @@ def write_latent_csv(path, latent: LatentTruth, header_line: str = None) -> None
 
 def read_latent_csv(path):
     rows = _open_rows(path)
-    header = rows[0]
-    k = len(header) - 2
-    ids, d, onset = [], [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        ids.append(row[0])
-        d.append(float(row[1]))
-        onset.append([float(c) if c != "" else np.inf for c in row[2 : 2 + k]])
+    k = len(rows[0]) - 2
+    if k < 1 or rows[0] != ["id", "d"] + [f"tt{j + 1}" for j in range(k)]:
+        raise ConfigError(f"{path}: expected header id,d,tt1..ttK")
+
+    def parse(row):
+        return row[0], float(row[1]), [float(c) if c != "" else np.inf for c in row[2:]]
+
+    ids, d, onset = zip(*_parse_rows(path, rows, parse))
     return np.array(ids), np.asarray(d), np.asarray(onset)
 
 
@@ -161,23 +164,16 @@ def write_query_csv(path, queries, k, ids=None, header_line=None) -> None:
 
 def read_query_csv(path, k=None):
     rows = _open_rows(path)
-    if not rows:
-        raise ConfigError(f"{path}: empty query file")
     header = rows[0]
-    if header[0] != "id":
+    if header[:1] != ["id"]:
         raise ConfigError(f"{path}: first query column must be id")
     file_k = len(header) - 1
     if k is not None and file_k != k:
         raise ConfigError(f"{path}: query has {file_k} events, model expects {k}")
-    ids, queries = [], []
-    for rn, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != file_k + 1:
-            raise ConfigError(f"{path}: line {rn}: wrong field count")
-        events = tuple(
-            (j, float(c)) for j, c in enumerate(row[1:]) if c != ""
-        )
-        ids.append(row[0])
-        queries.append(PredictionQuery(events))
-    return ids, queries
+
+    def parse(row):
+        events = tuple((j, float(c)) for j, c in enumerate(row[1:]) if c != "")
+        return row[0], PredictionQuery(events)
+
+    ids, queries = zip(*_parse_rows(path, rows, parse))
+    return list(ids), list(queries)

@@ -40,10 +40,12 @@ from .marginals import (
 )
 from .survival import StepSurvival
 
-# accepted and recorded for compatibility; the likelihood does not use them
+# accepted and recorded for compatibility; the likelihood does not use them.
+# `perfbench/checks.py` still passes them to LikelihoodWorkspace.
 DEFAULT_MC_N = 500
 DEFAULT_MC_SEED = 20200
 TAU_BOUNDS = (0.01, 0.95)
+CI_PERCENTILES = (2.5, 97.5)  # bootstrap percentile interval
 
 
 def _safe_log(x):
@@ -112,7 +114,8 @@ class LikelihoodWorkspace:
     reduces the cells of each record with logsumexp.
 
     `mc_n` and `mc_seed` are accepted and stored so that existing callers
-    and model files keep working; the likelihood does not use them.
+    (the benchmark's checks among them) and model files keep working; the
+    likelihood does not use them.
     """
 
     def __init__(
@@ -434,8 +437,6 @@ def bootstrap_fit(
     b: int = 200,
     seed: int = 0,
     threads: int = 1,
-    resampler=None,
-    ci_levels=(2.5, 97.5),
     **fit_kw,
 ):
     """Percentile bootstrap over subjects for the association parameters.
@@ -453,7 +454,6 @@ def bootstrap_fit(
         data=data,
         family=family,
         seed=seed,
-        resampler=resampler,
         fit_kw=fit_kw,
     )
     results = _run_indexed(worker, b, threads)
@@ -472,16 +472,15 @@ def bootstrap_fit(
         "failures": failures,
         "tau_alpha_draws": tau_alpha_draws,
         "tau_theta_draws": theta_tau_draws,
-        "tau_theta_ci": np.percentile(theta_tau_draws, ci_levels, axis=0).T,
+        "tau_theta_ci": np.percentile(theta_tau_draws, CI_PERCENTILES, axis=0).T,
     }
     if not np.any(np.isnan(tau_alpha_draws)):
-        out["tau_alpha_ci"] = tuple(np.percentile(tau_alpha_draws, ci_levels))
+        out["tau_alpha_ci"] = tuple(np.percentile(tau_alpha_draws, CI_PERCENTILES))
     return out
 
 
-def _bootstrap_worker(rep, data, family, seed, resampler, fit_kw):
-    rng = np.random.default_rng([seed, rep])
-    sample = resampler(data, rng) if resampler else data.resample(rng)
+def _bootstrap_worker(rep, data, family, seed, fit_kw):
+    sample = data.resample(np.random.default_rng([seed, rep]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fit = fit_joint_model(sample, family, **fit_kw)

@@ -20,6 +20,12 @@ from .data import SurvivalData
 from .errors import NoComparablePairs, NoRootError
 from .survival import StepSurvival, kaplan_meier
 
+TAU_BRACKET = (0.001, 0.99)  # Kendall-tau bracket of the concordance root
+# self-consistency stops once a sweep moves the curve by less than SC_TOL
+# (sup norm), or after SC_MAX_SWEEPS sweeps
+SC_TOL = 1e-6
+SC_MAX_SWEEPS = 200
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -141,7 +147,6 @@ def solve_theta(
     family,
     weight_spec=WeightSpec(),
     s_c=None,
-    tau_bracket=(0.001, 0.99),
     info=None,
 ) -> PairwiseAssociation:
     """Root of the concordance equation, searched on the Kendall-tau scale.
@@ -159,7 +164,7 @@ def solve_theta(
     def f(tau):
         return table.score(ArchimedeanCopula(family, theta_from_tau(family, tau)))
 
-    lo, hi = tau_bracket
+    lo, hi = TAU_BRACKET
     f_lo, f_hi = f(lo), f(hi)
     if f_lo * f_hi > 0:
         raise NoRootError(
@@ -180,8 +185,6 @@ def self_consistent_marginal(
     theta_hat,
     s_d,
     family,
-    tol=1e-6,
-    max_iter=200,
     info=None,
 ) -> StepSurvival:
     """Marginal survival of the k-th onset by pseudo self-consistency.
@@ -216,7 +219,7 @@ def self_consistent_marginal(
 
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, SC_MAX_SWEEPS + 1):
         u_grid = np.clip(s, 1e-12, 1.0)[:, None]
         new = at_risk.copy()
         if tb.size:
@@ -233,12 +236,12 @@ def self_consistent_marginal(
         new = np.minimum.accumulate(np.clip(new, 0.0, 1.0))
         delta_sup = float(np.max(np.abs(new - s)))
         s = new
-        if delta_sup < tol:
+        if delta_sup < SC_TOL:
             converged = True
             break
     if not converged:
         warnings.warn(
-            f"self-consistency for event {k} stopped after {max_iter} sweeps",
+            f"self-consistency for event {k} stopped after {SC_MAX_SWEEPS} sweeps",
             RuntimeWarning,
         )
     if info is not None:

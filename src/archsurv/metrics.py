@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SurvivalData
-from .errors import EstimationError, NoComparablePairs, NotIdentified
+from .errors import ConfigError, EstimationError, NoComparablePairs, NotIdentified
 from .likelihood import fit_joint_model, _run_indexed
 from .marginals import censoring_km
 from .predict import (
@@ -215,17 +215,15 @@ def evaluate_model(
     config: MetricConfig,
     d_true=None,
     methods=DEFAULT_METHODS,
-    s_c=None,
-    interval_levels=(0.025, 0.975),
 ):
     """Apply each prediction method to every subject and score it.
 
-    Subjects whose landmark reaches the end of follow-up are skipped (their
-    survival is not identified) and counted.  Relative accuracy reports each
+    Subjects whose landmark reaches the end of follow-up (their survival is
+    not identified) or passes the restriction time (their restricted mean
+    is not defined) are skipped and counted.  Relative accuracy reports each
     error metric as a ratio with the dynamic prediction as benchmark.
     """
-    if s_c is None:
-        s_c = censoring_km(data)
+    s_c = censoring_km(data)
     t_star = min(config.t_u_star, model.t_max)
     if t_star < config.t_u_star:
         warnings.warn(
@@ -241,7 +239,7 @@ def evaluate_model(
     per_method = {m: ([], [], [], []) for m in methods}  # cmst, cqst, interval, curve
     for i in range(data.n):
         q = subject_query(data, i)
-        if q.landmark >= model.t_max:
+        if q.landmark >= model.t_max or q.landmark > t_star:
             continue
         try:
             preds = [_curve_for(m, q, model, None) for m in methods]
@@ -257,9 +255,7 @@ def evaluate_model(
                 cqst_v.append(cqst(pred, cfg.qpe_tau))
             except NotIdentified:
                 cqst_v.append(t_star)
-            intervals.append(
-                prediction_interval(pred, t_u_star=t_star, levels=interval_levels)
-            )
+            intervals.append(prediction_interval(pred, t_u_star=t_star))
             curve = np.ones(grid.size)
             curve[past] = pred.at(grid[past])
             curves.append(curve)
@@ -384,10 +380,18 @@ def cross_validate(
     test with censoring weights, aggregate mean and SD across splits."""
     from functools import partial
 
+    if int(repeats) < 1:
+        raise ConfigError(f"cross-validation needs repeats >= 1, got {repeats}")
     if scheme == "kfold":
+        if int(folds) < 2:
+            raise ConfigError(f"k-fold cross-validation needs folds >= 2, got {folds}")
         spec = ("kfold", int(folds), int(repeats))
         n_splits = int(folds) * int(repeats)
     elif scheme == "random":
+        if not 0.0 < test_fraction < 1.0:
+            raise ConfigError(
+                f"random splits need a test fraction in (0, 1), got {test_fraction}"
+            )
         spec = ("random", float(test_fraction), int(repeats))
         n_splits = int(repeats)
     else:

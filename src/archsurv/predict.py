@@ -12,7 +12,7 @@ with restricted-mean and quantile summaries of the predicted curve.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .likelihood import FittedJointModel, cell_log_terms, onset_partials
 
 DEFAULT_EXTRA_GRID = 200
 COARSE_GRID_FRACTION = 0.1
+INTERVAL_LEVELS = (0.025, 0.975)  # quantile levels of the prediction interval
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,6 @@ class SurvivalPrediction:
     values: np.ndarray
     method: str
     landmark: float
-    query: PredictionQuery = None
-    flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -88,6 +87,16 @@ def _default_grid(model: FittedJointModel, landmark: float) -> np.ndarray:
     atoms = atoms[(atoms > landmark) & (atoms <= t_u)]
     filler = np.linspace(landmark, t_u, DEFAULT_EXTRA_GRID + 1)[1:]
     return np.unique(np.concatenate([atoms, filler]))
+
+
+def _eval_times(model, landmark, times):
+    """The caller's evaluation times, or the default grid when none given."""
+    if times is None:
+        return _default_grid(model, landmark)
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise DomainError("no evaluation time past the landmark")
+    return times
 
 
 def _completed_ratio(model, t, anchor):
@@ -153,19 +162,17 @@ def predict_survival_dp(
 ) -> SurvivalPrediction:
     """Dynamic prediction using the full observed history."""
     lm = query.landmark
-    if times is None:
-        times = _default_grid(model, lm)
-    times = np.asarray(times, dtype=float)
+    times = _eval_times(model, lm, times)
     if np.any(times <= lm):
         raise DomainError("evaluation times must exceed the landmark")
 
     if query.m == 0:
         vals = _completed_ratio(model, times, lm)
-        return SurvivalPrediction(times, vals, "DP", lm, query)
+        return SurvivalPrediction(times, vals, "DP", lm)
     if query.m == 1:
         k, t_k = query.events[0]
         vals = _single_event_curve(model, k, t_k, t_k, times)
-        return SurvivalPrediction(times, vals, "DP", lm, query)
+        return SurvivalPrediction(times, vals, "DP", lm)
 
     atoms, masses = model.terminal.atoms(complete_tail=True)
     sel = atoms > lm
@@ -185,7 +192,7 @@ def predict_survival_dp(
     idx = np.searchsorted(atoms, times, side="right") - 1
     num = np.where(idx < 0, den, tail[np.maximum(idx, 0)])
     vals = np.clip(num / den, 0.0, 1.0)
-    return SurvivalPrediction(times, vals, "DP", lm, query)
+    return SurvivalPrediction(times, vals, "DP", lm)
 
 
 def predict_baseline(
@@ -198,12 +205,10 @@ def predict_baseline(
     """Landmark baselines: P0 (terminal KM ratio), Pk (single onset anchored
     at its own time), Pkm (single onset anchored at the landmark)."""
     lm = query.landmark
-    if times is None:
-        times = _default_grid(model, lm)
-    times = np.asarray(times, dtype=float)
+    times = _eval_times(model, lm, times)
     if method == "P0":
         vals = _completed_ratio(model, times, lm)
-        return SurvivalPrediction(times, vals, "P0", lm, query)
+        return SurvivalPrediction(times, vals, "P0", lm)
     if method not in ("Pk", "Pkm"):
         raise DomainError(f"unknown baseline method {method!r}")
     observed = dict(query.events)
@@ -216,7 +221,7 @@ def predict_baseline(
     t_k = observed[k]
     anchor = t_k if method == "Pk" else lm
     vals = _single_event_curve(model, k, t_k, anchor, times)
-    return SurvivalPrediction(times, vals, f"{method}[{k + 1}]", lm, query)
+    return SurvivalPrediction(times, vals, f"{method}[{k + 1}]", lm)
 
 
 def cmst(pred: SurvivalPrediction, t_u_star: float) -> float:
@@ -270,14 +275,14 @@ class PredictionInterval:
 
 
 def prediction_interval(
-    pred: SurvivalPrediction, t_u_star: float = None, levels=(0.025, 0.975)
+    pred: SurvivalPrediction, t_u_star: float = None
 ) -> PredictionInterval:
-    """Central interval from the quantile survival times.
+    """Central 95% interval from the quantile survival times.
 
     When the upper level is out of reach the bound is right-censored at the
     restriction time and flagged.
     """
-    lo_level, hi_level = levels
+    lo_level, hi_level = INTERVAL_LEVELS
     lo = cqst(pred, lo_level)  # propagates NotIdentified
     if t_u_star is None:
         t_u_star = float(pred.times[-1])

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .copulas import ArchimedeanCopula, theta_from_tau
 from .data import SurvivalData
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -236,16 +235,3 @@ def simulate_dataset(config: SimConfig) -> SimResult:
         config=config,
     )
 
-
-def pairwise_kendall(matrix: np.ndarray) -> np.ndarray:
-    """Sample Kendall-tau matrix across columns (unit diagonal, symmetric)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] < 2:
-        raise DomainError("need an (n >= 2) x p matrix")
-    p = matrix.shape[1]
-    out = np.eye(p)
-    for i in range(p):
-        for j in range(i + 1, p):
-            tau = kendalltau(matrix[:, i], matrix[:, j]).statistic
-            out[i, j] = out[j, i] = tau
-    return out

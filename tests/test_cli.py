@@ -192,6 +192,37 @@ def test_predict_onset_on_flat_marginal_segment(tmp_path):
     assert values and np.all(np.diff(values) <= 1e-12)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--t-u-star", 0.5],  # restriction time before the landmark
+        ["--times", "0.2,0.5"],  # no evaluation time past the landmark
+    ],
+)
+def test_predict_query_errors_exit_4(workdir, tmp_path, capsys, flags):
+    tmp, _ = workdir
+    qpath = tmp_path / "q.csv"
+    write_query_csv(qpath, [PredictionQuery(((0, 0.8),))], k=2, ids=["late"])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["predict", "--model", tmp / "model.json", "--queries", qpath,
+                 "--out", tmp_path / "p.csv", *flags])
+    assert exc.value.code == 4
+    assert "subject late:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--times", "1.0,x"], ["--cqst-levels", "0.5,x"], ["--cqst-levels", "0.5,1.5"]]
+)
+def test_predict_bad_number_flags_exit_2(workdir, tmp_path, flags):
+    tmp, _ = workdir
+    qpath = tmp_path / "q.csv"
+    write_query_csv(qpath, [PredictionQuery(())], k=2, ids=["a"])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["predict", "--model", tmp / "model.json", "--queries", qpath,
+                 "--out", tmp_path / "p.csv", *flags])
+    assert exc.value.code == 2
+
+
 def test_predict_reload_identical(workdir, tmp_path):
     tmp, _ = workdir
     from archsurv.likelihood import FittedJointModel
@@ -223,6 +254,70 @@ def test_evaluate_flow(workdir, tmp_path):
     assert doc["methods"]["DP"]["relative_accuracy"]["mspe"] == 1.0
     header = curves.read_text().splitlines()[1]
     assert header == "method,t,bs,auc"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "id,d,tt1,tt2\n1,abc,0.5,\n",
+        "id,d,tt1,tt2\n1,2.0,0.5\n",
+        "id,d,tt1,tt2\n1,2.0,0.5,x\n",
+        "id,death,tt1\n1,2.0,0.5\n",
+        "id,d,tt1,tt2\n",
+    ],
+)
+def test_read_latent_rejects_malformed(tmp_path, text):
+    path = tmp_path / "latent.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        read_latent_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "id,t1,t2\n", "id,t1,t2\na,0.5\n", "id,t1,t2\na,0.5,x\n", "id,t1,t2\na,-1.0,\n"],
+)
+def test_read_query_rejects_malformed(tmp_path, text):
+    path = tmp_path / "q.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        read_query_csv(path, k=2)
+
+
+@pytest.mark.parametrize("text", ["", "id,d,tt1,tt2\n1,abc,0.5,\n"])
+def test_evaluate_malformed_latent_exits_2(workdir, tmp_path, text):
+    tmp, cfg = workdir
+    latent = tmp_path / "latent.csv"
+    latent.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evaluate", "--model", tmp / "model.json", "--data", tmp / "test.csv",
+                 "--latent", latent, "--config", cfg, "--out", tmp_path / "r.json"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", ['{"family": "frank"}', "not json"])
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_malformed_model_exits_2(workdir, tmp_path, text, command):
+    tmp, cfg = workdir
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    inputs = (
+        ["--queries", tmp / "test.csv"] if command == "predict"
+        else ["--data", tmp / "test.csv", "--config", cfg]
+    )
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--model", model, *inputs, "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("folds", [0, 1])
+def test_crossval_invalid_folds_exit_2(workdir, tmp_path, folds):
+    tmp, cfg = workdir
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["crossval", "--data", tmp / "train.csv", "--config", cfg,
+                 "--out", tmp_path / "cv.json", "--folds", folds, "--threads", 1])
+    assert exc.value.code == 2
 
 
 def test_crossval_flow_and_thread_invariance(workdir, tmp_path):

@@ -516,17 +516,15 @@ def test_model_json_roundtrip_value_exact():
     assert back.to_json() == fit.to_json()
 
 
-def test_bootstrap_identity_resample_degenerate():
+def test_bootstrap_identity_resample_degenerate(monkeypatch):
     cfg = ex2_config(k=2, tau_alpha=0.4, censor_upper=20.0, n_train=70, n_test=0,
                      seed=31)
     data = simulate_dataset(cfg).train
-
-    def identity(d, rng):
-        return d
+    monkeypatch.setattr(SurvivalData, "resample", lambda self, rng: self)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        out = bootstrap_fit(data, "frank", b=2, seed=1, resampler=identity)
+        out = bootstrap_fit(data, "frank", b=2, seed=1)
     lo, hi = out["tau_alpha_ci"]
     assert lo == hi
     assert out["failures"] == 0

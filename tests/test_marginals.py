@@ -4,7 +4,7 @@ survival."""
 import numpy as np
 import pytest
 
-from archsurv.copulas import ArchimedeanCopula, copula_from_tau, theta_from_tau
+from archsurv.copulas import ArchimedeanCopula, theta_from_tau
 from archsurv.data import SurvivalData
 from archsurv.errors import DomainError, NoComparablePairs, NoRootError
 from archsurv.likelihood import FittedJointModel, fit_joint_model, onset_partials
@@ -21,6 +21,7 @@ from archsurv.marginals import (
 from archsurv.predict import PredictionQuery, q_joint_density
 from archsurv.simulate import SimConfig, ex1_config, simulate_dataset
 from archsurv.survival import StepSurvival, kaplan_meier
+from tests._oracles import copula_from_tau
 
 
 def _sim(config):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from archsurv.data import SurvivalData
-from archsurv.errors import NoComparablePairs
+from archsurv.errors import ConfigError, NoComparablePairs
 from archsurv.metrics import (
     MetricConfig,
     auc_t,
@@ -301,3 +301,42 @@ def test_crossval_tracks_apparent_error():
     gap = abs(r13["methods"]["DP"]["mean"]["mspe"] - r15["methods"]["DP"]["mean"]["mspe"])
     sd = max(r13["methods"]["DP"]["sd"]["mspe"], r15["methods"]["DP"]["sd"]["mspe"])
     assert gap <= sd + 0.05
+
+
+def test_evaluate_skips_landmarks_past_restriction_time():
+    # a subject whose last onset comes after t* has no restricted mean; it is
+    # skipped and counted like one whose landmark reaches the end of follow-up
+    from archsurv.likelihood import fit_joint_model
+
+    res = simulate_dataset(
+        ex1_config(k=3, censor_upper=20, n_train=200, n_test=200, seed=3)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_joint_model(res.train, "frank")
+        reports = evaluate_model(
+            model, res.test, MetricConfig(t_u_star=2.0), d_true=res.latent_test.d
+        )
+    landmarks = np.array([subject_query(res.test, i).landmark for i in range(res.test.n)])
+    late = int(np.sum((landmarks > 2.0) | (landmarks >= model.t_max)))
+    assert late > 0
+    for rep in reports.values():
+        assert rep.n_skipped == late
+        assert np.isfinite(rep.mspe) and np.isfinite(rep.ibs)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(scheme="kfold", folds=0),
+        dict(scheme="kfold", folds=1),
+        dict(scheme="kfold", folds=3, repeats=0),
+        dict(scheme="random", test_fraction=0.0),
+        dict(scheme="random", test_fraction=1.0),
+        dict(scheme="random", test_fraction=1 / 3, repeats=0),
+    ],
+)
+def test_crossval_rejects_invalid_sizes(kw):
+    data = simulate_dataset(ex2_config(k=2, n_train=30, n_test=0, seed=5)).train
+    with pytest.raises(ConfigError):
+        cross_validate(data, "frank", **kw)

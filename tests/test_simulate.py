@@ -6,16 +6,29 @@ import pytest
 from scipy.stats import kendalltau, ks_2samp, kstest
 
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
-from archsurv.errors import ConfigError
+from archsurv.errors import ConfigError, DomainError
 from archsurv.simulate import (
     SimConfig,
     ex1_config,
     ex2_config,
     ex3_config,
-    pairwise_kendall,
     simulate_dataset,
     simulate_latent,
 )
+
+
+def pairwise_kendall(matrix: np.ndarray) -> np.ndarray:
+    """Sample Kendall-tau matrix across columns (unit diagonal, symmetric)."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] < 2:
+        raise DomainError("need an (n >= 2) x p matrix")
+    p = matrix.shape[1]
+    out = np.eye(p)
+    for i in range(p):
+        for j in range(i + 1, p):
+            tau = kendalltau(matrix[:, i], matrix[:, j]).statistic
+            out[i, j] = out[j, i] = tau
+    return out
 
 
 def exact_censor_rate(rate, upper):
