@@ -42,6 +42,7 @@ from .predict import (
     cmst,
     cqst,
     predict_baseline,
+    predict_curves,
     predict_survival_dp,
     prediction_interval,
     q_joint_density,
@@ -78,6 +79,7 @@ __all__ = [
     "model_aic",
     "PredictionQuery",
     "SurvivalPrediction",
+    "predict_curves",
     "predict_survival_dp",
     "predict_baseline",
     "q_joint_density",

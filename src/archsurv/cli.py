@@ -31,13 +31,7 @@ from .errors import ArchsurvError, ConfigError, EstimationError, NotIdentified
 from .likelihood import FittedJointModel, bootstrap_fit, fit_joint_model, model_aic
 from .marginals import WeightSpec
 from .metrics import MetricConfig, cross_validate, evaluate_model
-from .predict import (
-    cmst,
-    cqst,
-    predict_baseline,
-    predict_survival_dp,
-    prediction_interval,
-)
+from .predict import cmst, cqst, predict_curves, prediction_interval
 from .simulate import simulate_dataset
 
 
@@ -48,6 +42,19 @@ def _fail(code, message):
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _write_report(path, command, args, cfg, head=(), **tail):
+    """Write `head`'s entries, the run's provenance, then `tail` as JSON."""
+    provenance = {
+        "command": command,
+        "version": __version__,
+        "seed": args.seed,
+        "config_sha256": config_digest(cfg.digest_items()),
+    }
+    with open(path, "w") as fh:
+        json.dump({**dict(head), "provenance": provenance, **tail}, fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_simulate(args):
@@ -120,23 +127,15 @@ def cmd_fit(args):
                 )
     except EstimationError as exc:
         _fail(3, str(exc))
-    doc = fit.to_dict()
-    doc["provenance"] = {
-        "command": "fit",
-        "version": __version__,
-        "seed": args.seed,
-        "config_sha256": config_digest(cfg.digest_items()),
-    }
+    tail = {}
     if boot is not None:
-        doc["bootstrap"] = {
+        tail["bootstrap"] = {
             "b": boot["b"],
             "failures": boot["failures"],
             "tau_alpha_ci": boot.get("tau_alpha_ci"),
             "tau_theta_ci": [list(row) for row in np.asarray(boot["tau_theta_ci"])],
         }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_report(args.out, "fit", args, cfg, fit.to_dict(), **tail)
     print(_fit_summary(fit, boot))
     return 0
 
@@ -148,24 +147,13 @@ def _float_list(text, flag):
         raise ConfigError(f"{flag}: {exc}") from exc
 
 
-def _methods_for(query, model, spec):
+def _methods_for(query, spec):
     if spec != "all":
         return [spec]
     methods = ["DP", "P0"]
     for k, _ in query.events:
         methods += [f"Pk:{k + 1}", f"Pkm:{k + 1}"]
     return methods
-
-
-def _predict_one(query, model, method, times):
-    if method == "DP":
-        return predict_survival_dp(query, model, times=times)
-    if method == "P0":
-        return predict_baseline(query, model, "P0", times=times)
-    base, _, knum = method.partition(":")
-    if base not in ("Pk", "Pkm") or not knum:
-        raise ConfigError(f"unknown prediction method {method!r}")
-    return predict_baseline(query, model, base, k=int(knum) - 1, times=times)
 
 
 def cmd_predict(args):
@@ -182,38 +170,26 @@ def cmd_predict(args):
     header = provenance_line("predict", args.seed, "-")
     curve_rows, summary_rows = [], []
     for rid, q in zip(ids, queries):
-        for method in _methods_for(q, model, args.method):
-            try:
-                times = None
-                if times_flag is not None:
-                    times = times_flag[times_flag > q.landmark]
-                pred = _predict_one(q, model, method, times)
-                qs = {}
-                for lv in levels:
-                    try:
-                        qs[lv] = cqst(pred, lv)
-                    except NotIdentified:
-                        qs[lv] = None
-                iv = prediction_interval(pred, t_u_star=t_u_star)
-                mean = cmst(pred, t_u_star)
-            except ConfigError as exc:
-                _fail(2, str(exc))
-            except ArchsurvError as exc:
-                _fail(4, f"subject {rid}: {exc}")
-            for t, v in zip(pred.times, pred.values):
-                curve_rows.append((rid, method, _fmt(t), _fmt(v)))
-            summary_rows.append(
-                (
-                    rid,
-                    method,
-                    _fmt(q.landmark),
-                    _fmt(mean),
-                    *[("" if qs[lv] is None else _fmt(qs[lv])) for lv in levels],
-                    _fmt(iv.lo),
-                    _fmt(iv.hi),
-                    str(int(iv.hi_censored)),
-                )
-            )
+        methods = _methods_for(q, args.method)
+        try:
+            times = None if times_flag is None else times_flag[times_flag > q.landmark]
+            pred = predict_curves(q, model, methods, times)
+            quantiles = [cqst(pred, lv) for lv in levels]
+            iv = prediction_interval(pred, t_u_star=t_u_star)
+            mean = cmst(pred, t_u_star)
+        except ConfigError as exc:
+            _fail(2, str(exc))
+        except ArchsurvError as exc:
+            _fail(4, f"subject {rid}: {exc}")
+        for j, method in enumerate(methods):
+            curve_rows += [
+                (rid, method, _fmt(t), _fmt(v)) for t, v in zip(pred.times, pred.values[j])
+            ]
+            summary_rows.append((
+                rid, method, _fmt(q.landmark), _fmt(mean[j]),
+                *("" if np.isnan(at[j]) else _fmt(at[j]) for at in quantiles),
+                _fmt(iv.lo[j]), _fmt(iv.hi[j]), str(int(iv.hi_censored[j])),
+            ))
     with open(args.out, "w") as fh:
         fh.write(header + "\n")
         fh.write("id,method,t,survival\n")
@@ -244,6 +220,12 @@ def _report_table(reports) -> str:
     return "\n".join(lines)
 
 
+def _metric_config(cfg, ipcw):
+    return MetricConfig(
+        cfg["metrics.t_u_star"], cfg["metrics.qpe_tau"], cfg["metrics.grid_points"], ipcw
+    )
+
+
 def cmd_evaluate(args):
     cfg = RunConfig.load(args.config)
     try:
@@ -261,31 +243,17 @@ def cmd_evaluate(args):
             d_true = np.array([lookup[str(i)] for i in data.ids])
     except (ConfigError, KeyError, ValueError) as exc:
         _fail(2, str(exc))
-    mcfg = MetricConfig(
-        t_u_star=cfg["metrics.t_u_star"],
-        qpe_tau=cfg["metrics.qpe_tau"],
-        n_grid=cfg["metrics.grid_points"],
-        ipcw=cfg["metrics.ipcw"] or d_true is None,
-    )
+    mcfg = _metric_config(cfg, ipcw=cfg["metrics.ipcw"] or d_true is None)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reports = evaluate_model(model, data, mcfg, d_true=d_true)
     except ArchsurvError as exc:
         _fail(4, str(exc))
-    doc = {
-        "provenance": {
-            "command": "evaluate",
-            "version": __version__,
-            "seed": args.seed,
-            "config_sha256": config_digest(cfg.digest_items()),
-        },
-        "t_u_star": mcfg.t_u_star,
-        "methods": {name: rep.to_dict() for name, rep in reports.items()},
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_report(
+        args.out, "evaluate", args, cfg, t_u_star=mcfg.t_u_star,
+        methods={name: rep.to_dict() for name, rep in reports.items()},
+    )
     if args.curves_out:
         grid = MetricConfig(
             min(mcfg.t_u_star, model.t_max), mcfg.qpe_tau, mcfg.n_grid, mcfg.ipcw
@@ -307,12 +275,7 @@ def cmd_crossval(args):
         data = read_data_csv(args.data)
     except ConfigError as exc:
         _fail(2, str(exc))
-    mcfg = MetricConfig(
-        t_u_star=cfg["metrics.t_u_star"],
-        qpe_tau=cfg["metrics.qpe_tau"],
-        n_grid=cfg["metrics.grid_points"],
-        ipcw=True,
-    )
+    mcfg = _metric_config(cfg, ipcw=True)
     folds = args.folds if args.folds is not None else cfg["cv.folds"]
     repeats = args.repeats if args.repeats is not None else cfg["cv.repeats"]
     try:
@@ -334,18 +297,7 @@ def cmd_crossval(args):
         _fail(2, str(exc))
     except ArchsurvError as exc:
         _fail(3, str(exc))
-    doc = {
-        "provenance": {
-            "command": "crossval",
-            "version": __version__,
-            "seed": args.seed,
-            "config_sha256": config_digest(cfg.digest_items()),
-        },
-        **out,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_report(args.out, "crossval", args, cfg, **out)
     print(
         f"cross-validation: {out['splits']} splits, {out['failures']} failures; "
         f"DP mean MSPE {out['methods']['DP']['mean']['mspe']:.4f}"

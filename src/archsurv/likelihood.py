@@ -363,15 +363,20 @@ def fit_joint_model(
     except Exception as exc:
         raise EstimationError("km", str(exc)) from exc
 
-    thetas, marginals = [], []
+    # the pair tables go when the fit returns: freed one by one, their pages go back to
+    # the system, and each marginal's sweeps fault them in again (cohort fit +40%)
+    thetas, marginals, roots = [], [], []
     for k in range(data.k):
         root = {}
+        roots.append(root)
         try:
             assoc = solve_theta(k, data, family, weight_spec, s_c=s_c, info=root)
         except Exception as exc:
             raise EstimationError(f"theta[{k + 1}]", str(exc)) from exc
         diagnostics[f"theta_{k + 1}_pairs"] = root["pairs"]
         diagnostics[f"theta_{k + 1}_evals"] = root["evals"]
+        if root["boundary"]:
+            diagnostics[f"theta_{k + 1}_boundary"] = True
         info = {}
         try:
             marg = self_consistent_marginal(

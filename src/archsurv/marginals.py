@@ -151,9 +151,12 @@ def solve_theta(
 ) -> PairwiseAssociation:
     """Root of the concordance equation, searched on the Kendall-tau scale.
 
-    If `info` is a dict it receives the number of usable pairs (`pairs`)
-    and brentq's function evaluations (`evals`, not counting the two
-    bracket checks before it).
+    U(tau) < 0 at the lower end of the bracket means the data are at or
+    below independence: the lower end is returned, with a warning.  If
+    `info` is a dict it receives the number of usable pairs (`pairs`),
+    brentq's function evaluations (`evals`, not counting the two bracket
+    checks before it), whether the lower end was returned (`boundary`) and
+    the pair table itself (`table`), so the caller decides when it is freed.
     """
     if s_c is None:
         s_c = censoring_km(data)
@@ -166,15 +169,24 @@ def solve_theta(
 
     lo, hi = TAU_BRACKET
     f_lo, f_hi = f(lo), f(hi)
-    if f_lo * f_hi > 0:
+    boundary = f_lo < 0 and f_hi < 0
+    if boundary:
+        warnings.warn(
+            f"event {k}: association at or below independence "
+            f"(U({lo})={f_lo:.4g}); tau set to {lo}"
+        )
+        tau_hat, evals = lo, 0
+    elif f_lo * f_hi > 0:
         raise NoRootError(
             f"event {k}: no sign change on tau in [{lo}, {hi}] "
             f"(U({lo})={f_lo:.4g}, U({hi})={f_hi:.4g})"
         )
-    tau_hat, root = optimize.brentq(f, lo, hi, xtol=1e-6, full_output=True)
+    else:
+        tau_hat, root = optimize.brentq(f, lo, hi, xtol=1e-6, full_output=True)
+        evals = root.function_calls
     if info is not None:
-        info["pairs"] = int(table.s.size)
-        info["evals"] = int(root.function_calls)
+        info.update(pairs=int(table.s.size), evals=int(evals), boundary=boundary, table=table)
+    del table  # brentq keeps `f` in a reference cycle, which must not hold the table
     theta_hat = theta_from_tau(family, float(tau_hat))
     return PairwiseAssociation(k, theta_hat, tau_from_theta(family, theta_hat), weight_spec)
 

@@ -12,11 +12,14 @@ from .data import SurvivalData
 from .errors import ConfigError, EstimationError, NoComparablePairs, NotIdentified
 from .likelihood import fit_joint_model, _run_indexed
 from .marginals import censoring_km
+# predict_baseline and predict_survival_dp stay: perfbench/tracing.py wraps them here
 from .predict import (
+    PredictionInterval,
     PredictionQuery,
     cmst,
     cqst,
     predict_baseline,
+    predict_curves,
     predict_survival_dp,
     prediction_interval,
 )
@@ -149,12 +152,14 @@ def auc_t(curves_at_t, y, dtilde, landmarks, s_c, t) -> float:
 
 
 def interval_metrics(truths, intervals):
-    """(coverage, median width, flagged count) for prediction intervals."""
-    truths = np.asarray(truths, dtype=float)
-    cover = np.array([iv.covers(tv) for iv, tv in zip(intervals, truths)])
-    widths = np.array([iv.width for iv in intervals])
-    flagged = sum(iv.hi_censored for iv in intervals)
-    return float(cover.mean()), float(np.median(widths)), int(flagged)
+    """(coverage, median width, flagged count) for prediction intervals,
+    given as a sequence or as one PredictionInterval of arrays."""
+    if not isinstance(intervals, PredictionInterval):
+        rows = [(iv.lo, iv.hi, iv.hi_censored) for iv in intervals]
+        intervals = PredictionInterval(*np.array(rows, dtype=float).T)
+    cover = intervals.covers(np.asarray(truths, dtype=float))
+    flagged = int(np.sum(intervals.hi_censored))
+    return float(np.mean(cover)), float(np.median(intervals.width)), flagged
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +171,16 @@ def subject_query(data: SurvivalData, i: int) -> PredictionQuery:
     return PredictionQuery(tuple((int(k), float(data.t[i, k])) for k in obs))
 
 
-def _curve_for(method, query, model, times):
-    if method == "DP":
-        return predict_survival_dp(query, model, times=times)
-    if method == "P0":
-        return predict_baseline(query, model, "P0", times=times)
-    observed = dict(query.events)
-    k = 0 if method.startswith("P1") else model.k - 1
-    if k not in observed:
-        return predict_baseline(query, model, "P0", times=times)  # fallback
-    base = "Pkm" if method.endswith("m") else "Pk"
-    return predict_baseline(query, model, base, k=k, times=times)
+def _method_for(name, query, k):
+    """The prediction method behind a report name (DP, P0, P1, P1m, PK,
+    PKm; PK is onset K of k).  A subject without the named onset is scored
+    with P0 for it."""
+    if name in ("DP", "P0"):
+        return name
+    onset = 1 if name.startswith("P1") else k
+    if onset - 1 not in dict(query.events):
+        return "P0"
+    return f"{'Pkm' if name.endswith('m') else 'Pk'}:{onset}"
 
 
 @dataclass
@@ -233,44 +237,39 @@ def evaluate_model(
     grid = cfg.grid()
 
     # score a subject only if every method's prediction is identified, so
-    # the reports compare like with like; each prediction is reduced to its
-    # summaries and its curve on the score grid as soon as it is made
-    usable, landmarks = [], []
-    per_method = {m: ([], [], [], []) for m in methods}  # cmst, cqst, interval, curve
+    # the reports compare like with like; each subject's curves are reduced
+    # to their summaries and their values on the score grid at once
+    usable, landmarks, cmsts, cqsts, intervals, curves = [], [], [], [], [], []
     for i in range(data.n):
         q = subject_query(data, i)
         if q.landmark >= model.t_max or q.landmark > t_star:
             continue
         try:
-            preds = [_curve_for(m, q, model, None) for m in methods]
+            pred = predict_curves(q, model, [_method_for(m, q, model.k) for m in methods])
         except NotIdentified:
             continue
         usable.append(i)
         landmarks.append(q.landmark)
-        past = grid > q.landmark
-        for m, pred in zip(methods, preds):
-            cmst_v, cqst_v, intervals, curves = per_method[m]
-            cmst_v.append(cmst(pred, t_star))
-            try:
-                cqst_v.append(cqst(pred, cfg.qpe_tau))
-            except NotIdentified:
-                cqst_v.append(t_star)
-            intervals.append(prediction_interval(pred, t_u_star=t_star))
-            curve = np.ones(grid.size)
-            curve[past] = pred.at(grid[past])
-            curves.append(curve)
+        cmsts.append(cmst(pred, t_star))
+        cqsts.append(cqst(pred, cfg.qpe_tau))
+        iv = prediction_interval(pred, t_u_star=t_star)
+        intervals.append((iv.lo, iv.hi, iv.hi_censored))
+        curves.append(pred.at(grid))
     n_skipped = data.n - len(usable)
     if not usable:
         raise EstimationError("evaluate", "no subject has an identified prediction")
     idx = np.array(usable)
+    # (subjects, methods) summaries; a quantile out of reach scores as t*
+    cmsts = np.array(cmsts)
+    cqsts = np.nan_to_num(np.array(cqsts), nan=t_star)
+    lo, hi, censored = np.moveaxis(np.array(intervals), 1, 0)
+    curves = np.array(curves)  # (subjects, methods, grid)
 
     reports = {}
-    for method in methods:
-        cmst_v, cqst_v, intervals, curves = per_method[method]
-        curves = np.array(curves)
+    for j, method in enumerate(methods):
         mspe, qpe, _ = point_errors(
-            cmst_v,
-            cqst_v,
+            cmsts[:, j],
+            cqsts[:, j],
             cfg,
             d_true=None if d_true is None else np.asarray(d_true)[idx],
             y=data.y[idx],
@@ -278,13 +277,13 @@ def evaluate_model(
             s_c=s_c,
         )
         bs = brier_curve(
-            curves, grid, data.y[idx], data.dtilde[idx], landmarks, s_c
+            curves[:, j], grid, data.y[idx], data.dtilde[idx], landmarks, s_c
         )
         auc = np.full(grid.size, np.nan)
-        for j, t in enumerate(grid):
+        for g, t in enumerate(grid):
             try:
-                auc[j] = auc_t(
-                    curves[:, j], data.y[idx], data.dtilde[idx], landmarks, s_c, t
+                auc[g] = auc_t(
+                    curves[:, j, g], data.y[idx], data.dtilde[idx], landmarks, s_c, t
                 )
             except NoComparablePairs:
                 pass
@@ -293,7 +292,9 @@ def evaluate_model(
             if d_true is not None
             else np.minimum(data.y[idx], t_star)
         )
-        cp, mid, flagged = interval_metrics(truth, intervals)
+        cp, mid, flagged = interval_metrics(
+            truth, PredictionInterval(lo[:, j], hi[:, j], censored[:, j])
+        )
         reports[method] = MethodReport(
             method=method, mspe=mspe, qpe=qpe,
             ibs=integrated_brier(bs, grid, t_star), bs_curve=bs, auc_curve=auc,

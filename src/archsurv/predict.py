@@ -6,18 +6,22 @@ the fitted copulas: a Kaplan-Meier ratio with no history, a copula partial
 ratio with one onset, and for two or more onsets a ratio of Stieltjes
 integrals of the joint onset density against the terminal curve.  Landmark
 baselines that use less of the history are provided for comparison, along
-with restricted-mean and quantile summaries of the predicted curve.
+with restricted-mean and quantile summaries of the predicted curve.  One
+call predicts every requested method for a history on one grid, and each
+summary reduces all of its curves at once.
 """
 
 from __future__ import annotations
 
+import traceback
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotIdentified
+from .errors import ConfigError, DomainError, NotIdentified
 from .likelihood import FittedJointModel, cell_log_terms, onset_partials
+from .survival import step_lookup
 
 DEFAULT_EXTRA_GRID = 200
 COARSE_GRID_FRACTION = 0.1
@@ -56,11 +60,13 @@ class PredictionQuery:
 
 @dataclass
 class SurvivalPrediction:
-    """Predicted conditional survival on a grid past the landmark."""
+    """Predicted conditional survival on a grid past the landmark: one curve
+    (1-d values, one method) or one curve per method (2-d values, one row
+    per entry of a tuple of methods)."""
 
     times: np.ndarray
     values: np.ndarray
-    method: str
+    method: str | tuple
     landmark: float
 
     def __post_init__(self):
@@ -69,55 +75,19 @@ class SurvivalPrediction:
 
     def at(self, t):
         """Right-continuous evaluation; 1 at/before the landmark."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        out = np.where(idx < 0, 1.0, self.values[np.maximum(idx, 0)])
-        return out if out.ndim else float(out)
+        return step_lookup(self.times, self.values, t)
 
 
-def _default_grid(model: FittedJointModel, landmark: float) -> np.ndarray:
+def _default_grid(atoms, landmark: float, t_max: float) -> np.ndarray:
     """Atoms of the completed terminal curve past the landmark, plus equally
     spaced filler points that stabilize quantile inversion."""
-    t_u = model.t_max
-    if landmark >= t_u:
+    if landmark >= t_max:
         raise NotIdentified(
-            f"landmark {landmark:.6g} is at or beyond follow-up {t_u:.6g}"
+            f"landmark {landmark:.6g} is at or beyond follow-up {t_max:.6g}"
         )
-    atoms, _ = model.terminal.atoms(complete_tail=True)
-    atoms = atoms[(atoms > landmark) & (atoms <= t_u)]
-    filler = np.linspace(landmark, t_u, DEFAULT_EXTRA_GRID + 1)[1:]
+    atoms = atoms[(atoms > landmark) & (atoms <= t_max)]
+    filler = np.linspace(landmark, t_max, DEFAULT_EXTRA_GRID + 1)[1:]
     return np.unique(np.concatenate([atoms, filler]))
-
-
-def _eval_times(model, landmark, times):
-    """The caller's evaluation times, or the default grid when none given."""
-    if times is None:
-        return _default_grid(model, landmark)
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise DomainError("no evaluation time past the landmark")
-    return times
-
-
-def _completed_ratio(model, t, anchor):
-    s = model.terminal.completed()
-    den = float(s(anchor))
-    if den <= 0:
-        raise NotIdentified(f"no terminal mass beyond {anchor:.6g}")
-    return np.asarray(s(t)) / den
-
-
-def _single_event_curve(model, k, t_k, anchor, times):
-    """H1-ratio curve shared by the one-event dynamic prediction and the
-    single-onset landmark baselines (anchor = onset time or landmark)."""
-    cop = model.copula_for(k)
-    s = model.terminal.completed()
-    u = float(model.marginals[k](t_k))
-    h1_num, _, _ = cop.partials(np.full(times.size, u), np.asarray(s(times)))
-    h1_den, _, _ = cop.partials(u, float(s(anchor)))
-    if h1_den <= 0:
-        raise NotIdentified(f"single-event denominator vanishes at {anchor:.6g}")
-    return np.clip(h1_num / h1_den, 0.0, 1.0)
 
 
 def q_joint_density(query: PredictionQuery, t, model: FittedJointModel):
@@ -157,42 +127,105 @@ def q_joint_density(query: PredictionQuery, t, model: FittedJointModel):
     return out if t.ndim else float(out[0])
 
 
+def _parse_method(method):
+    """(base, 0-based onset index or None) of DP | P0 | Pk:K | Pkm:K."""
+    if method in ("DP", "P0"):
+        return method, None
+    base, _, knum = method.partition(":")
+    if base in ("Pk", "Pkm") and knum.isdecimal():
+        return base, int(knum) - 1
+    raise ConfigError(f"unknown prediction method {method!r}")
+
+
+def predict_curves(
+    query: PredictionQuery, model: FittedJointModel, methods=("DP",), times=None
+) -> SurvivalPrediction:
+    """Every requested method's curve for one history, on one grid.
+
+    `methods` follows the grammar DP | P0 | Pk:K | Pkm:K, K the 1-based
+    onset index.  DP uses the full history; P0 none of it (the terminal
+    ratio S_D(t)/S_D(landmark)); Pk onset K anchored at its own time; Pkm
+    onset K anchored at the landmark.  The curves are the rows of the
+    result, on `times` or on the default grid.  Methods that coincide share
+    a row: DP is P0 with no onset and Pk with one, and the Pk and Pkm of
+    one onset share their numerator.
+    """
+    lm = query.landmark
+    observed = dict(query.events)
+    keys = []  # "P0", "DP" or (onset, anchor), one per method
+    for method in methods:
+        base, k = _parse_method(method)
+        if base == "DP" and query.m < 2:
+            base, k = ("Pk", query.events[0][0]) if query.m else ("P0", None)
+        if k is not None and k not in observed:
+            raise DomainError(f"event {k} not observed in the query")
+        keys.append(base if k is None else (k, lm if base == "Pkm" else observed[k]))
+
+    atoms, masses = model.terminal.atoms(complete_tail=True)
+    if times is None:
+        times = _default_grid(atoms, lm, model.t_max)
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise DomainError("no evaluation time past the landmark")
+    if np.any(times <= lm):
+        raise DomainError("evaluation times must exceed the landmark")
+    if set(keys) != {"DP"}:  # the other rows are ratios of the completed curve
+        s = model.terminal.completed()
+        s_times = np.asarray(s(times))
+    rows, numerators = {}, {}
+    for key in keys:
+        if key in rows:
+            continue
+        if key == "P0":
+            den = float(s(lm))
+            if den <= 0:
+                raise NotIdentified(f"no terminal mass beyond {lm:.6g}")
+            rows[key] = s_times / den
+        elif key == "DP":
+            # the terminal mass past each time, weighted by the history's
+            # joint density, over the mass past the landmark
+            past = atoms > lm
+            if not np.any(past):
+                raise NotIdentified(f"no terminal mass beyond landmark {lm:.6g}")
+            weights = q_joint_density(query, atoms[past], model) * masses[past]
+            den = float(weights.sum())
+            if not den > 0:
+                raise NotIdentified("denominator integral vanished")
+            tail = np.concatenate([np.cumsum(weights[::-1])[::-1][1:], [0.0]])
+            rows[key] = np.clip(step_lookup(atoms[past], tail / den, times), 0.0, 1.0)
+        else:
+            k, anchor = key
+            cop = model.copula_for(k)
+            u = float(model.marginals[k](observed[k]))
+            if k not in numerators:
+                numerators[k], _, _ = cop.partials(np.full(times.size, u), s_times)
+            den, _, _ = cop.partials(u, float(s(anchor)))
+            if den <= 0:
+                raise NotIdentified(
+                    f"single-event denominator vanishes at {anchor:.6g}"
+                )
+            rows[key] = np.clip(numerators[k] / den, 0.0, 1.0)
+    return SurvivalPrediction(
+        times, np.array([rows[key] for key in keys]), tuple(methods), lm
+    )
+
+
+def _one_curve(query, model, method, times):
+    try:
+        pred = predict_curves(query, model, (method,), times)
+    except NotIdentified as exc:
+        # a caller that keeps the exception keeps the raising frames through
+        # its traceback; clear them so they hold no grid or per-atom arrays
+        traceback.clear_frames(exc.__traceback__)
+        raise
+    return SurvivalPrediction(pred.times, pred.values[0], method, pred.landmark)
+
+
 def predict_survival_dp(
     query: PredictionQuery, model: FittedJointModel, times=None
 ) -> SurvivalPrediction:
     """Dynamic prediction using the full observed history."""
-    lm = query.landmark
-    times = _eval_times(model, lm, times)
-    if np.any(times <= lm):
-        raise DomainError("evaluation times must exceed the landmark")
-
-    if query.m == 0:
-        vals = _completed_ratio(model, times, lm)
-        return SurvivalPrediction(times, vals, "DP", lm)
-    if query.m == 1:
-        k, t_k = query.events[0]
-        vals = _single_event_curve(model, k, t_k, t_k, times)
-        return SurvivalPrediction(times, vals, "DP", lm)
-
-    atoms, masses = model.terminal.atoms(complete_tail=True)
-    sel = atoms > lm
-    if not np.any(sel):
-        raise NotIdentified(f"no terminal mass beyond landmark {lm:.6g}")
-    atoms, masses = atoms[sel], masses[sel]
-    q_vals = q_joint_density(query, atoms, model)
-    weights = q_vals * masses
-    den = float(weights.sum())
-    if not den > 0:
-        # a caller that keeps the exception keeps this frame through its
-        # traceback; drop the grid and per-atom arrays so it holds none
-        del times, atoms, masses, sel, q_vals, weights
-        raise NotIdentified("denominator integral vanished")
-    # numerator at t: mass strictly beyond t
-    tail = np.concatenate([np.cumsum(weights[::-1])[::-1][1:], [0.0]])
-    idx = np.searchsorted(atoms, times, side="right") - 1
-    num = np.where(idx < 0, den, tail[np.maximum(idx, 0)])
-    vals = np.clip(num / den, 0.0, 1.0)
-    return SurvivalPrediction(times, vals, "DP", lm)
+    return _one_curve(query, model, "DP", times)
 
 
 def predict_baseline(
@@ -203,28 +236,25 @@ def predict_baseline(
     times=None,
 ) -> SurvivalPrediction:
     """Landmark baselines: P0 (terminal KM ratio), Pk (single onset anchored
-    at its own time), Pkm (single onset anchored at the landmark)."""
-    lm = query.landmark
-    times = _eval_times(model, lm, times)
-    if method == "P0":
-        vals = _completed_ratio(model, times, lm)
-        return SurvivalPrediction(times, vals, "P0", lm)
-    if method not in ("Pk", "Pkm"):
+    at its own time), Pkm (single onset anchored at the landmark); the onset
+    k (0-based) defaults to the earliest observed one."""
+    if method in ("Pk", "Pkm"):
+        if k is None:
+            if not query.events:
+                raise DomainError("baseline with an onset needs an observed event")
+            k = min(query.events, key=lambda ev: ev[1])[0]
+        method = f"{method}:{k + 1}"
+    elif method != "P0":
         raise DomainError(f"unknown baseline method {method!r}")
-    observed = dict(query.events)
-    if k is None:
-        if not observed:
-            raise DomainError("baseline with an onset needs an observed event")
-        k = min(observed, key=lambda kk: observed[kk])
-    if k not in observed:
-        raise DomainError(f"event {k} not observed in the query")
-    t_k = observed[k]
-    anchor = t_k if method == "Pk" else lm
-    vals = _single_event_curve(model, k, t_k, anchor, times)
-    return SurvivalPrediction(times, vals, f"{method}[{k + 1}]", lm)
+    return _one_curve(query, model, method, times)
 
 
-def cmst(pred: SurvivalPrediction, t_u_star: float) -> float:
+def _per_curve(pred, rows):
+    """One entry per curve of the prediction, or a float for a single curve."""
+    return rows if pred.values.ndim == 2 else float(rows[0])
+
+
+def cmst(pred: SurvivalPrediction, t_u_star: float):
     """Conditional restricted mean survival time: landmark plus the
     trapezoid integral of the predicted curve up to the restriction time."""
     lm = pred.landmark
@@ -232,7 +262,6 @@ def cmst(pred: SurvivalPrediction, t_u_star: float) -> float:
         raise DomainError("restriction time must not precede the landmark")
     grid = pred.times[(pred.times > lm) & (pred.times < t_u_star)]
     ts = np.concatenate([[lm], grid, [t_u_star]])
-    vs = np.concatenate([[1.0], pred.at(grid), [float(pred.at(t_u_star))]])
     if ts.size > 2:
         gap = np.diff(ts).max()
         if gap > COARSE_GRID_FRACTION * max(t_u_star - lm, 1e-300):
@@ -240,28 +269,39 @@ def cmst(pred: SurvivalPrediction, t_u_star: float) -> float:
                 f"prediction grid spacing {gap:.3g} is coarse for the "
                 f"restriction window [{lm:.3g}, {t_u_star:.3g}]"
             )
-    return float(lm + np.trapezoid(vs, ts))
+    # one C-ordered row per curve: numpy sums each row as it sums one curve
+    vs = np.ones((np.atleast_2d(pred.values).shape[0], ts.size))
+    vs[:, 1:] = pred.at(ts[1:])
+    return _per_curve(pred, lm + np.trapezoid(vs, ts, axis=1))
 
 
-def cqst(pred: SurvivalPrediction, tau_level: float) -> float:
+def _quantile_times(pred, level):
+    """First grid time at which each curve falls to 1 - level; NaN where the
+    curve ends at or above that value (so the quantile lies past the grid)."""
+    v = np.atleast_2d(pred.values)
+    s_end = v[:, -1]
+    hit = v <= 1.0 - level
+    reached = hit.any(axis=1) & ~((level >= 1.0 - s_end) & (s_end > 0.0))
+    return np.where(reached, pred.times[hit.argmax(axis=1)], np.nan)
+
+
+def cqst(pred: SurvivalPrediction, tau_level: float):
     """Conditional quantile survival time: first grid time where the curve
-    falls to 1 - tau_level.  Raises NotIdentified beyond the curve's reach."""
+    falls to 1 - tau_level.  For a single curve, raises NotIdentified beyond
+    the curve's reach; for several, such entries are NaN."""
     if not 0.0 < tau_level < 1.0:
         raise DomainError("quantile level must lie in (0, 1)")
-    target = 1.0 - tau_level
-    s_end = float(pred.values[-1])
-    if tau_level >= 1.0 - s_end and s_end > 0.0:
-        raise NotIdentified(
-            f"quantile {tau_level} not reached (curve ends at {s_end:.4g})"
-        )
-    hit = np.flatnonzero(pred.values <= target)
-    if hit.size == 0:
-        raise NotIdentified(f"quantile {tau_level} not reached on the grid")
-    return float(pred.times[hit[0]])
+    q = _quantile_times(pred, tau_level)
+    if pred.values.ndim == 1 and np.isnan(q[0]):
+        s_end = pred.values[-1]
+        raise NotIdentified(f"quantile {tau_level} not reached (curve ends at {s_end:.4g})")
+    return _per_curve(pred, q)
 
 
 @dataclass(frozen=True)
 class PredictionInterval:
+    """Bounds of one interval, or arrays of bounds with one entry per curve."""
+
     lo: float
     hi: float
     hi_censored: bool = False
@@ -270,25 +310,27 @@ class PredictionInterval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def covers(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
+    def covers(self, value):
+        return (self.lo <= value) & (value <= self.hi)
 
 
-def prediction_interval(
-    pred: SurvivalPrediction, t_u_star: float = None
-) -> PredictionInterval:
+def prediction_interval(pred: SurvivalPrediction, t_u_star: float = None):
     """Central 95% interval from the quantile survival times.
 
     When the upper level is out of reach the bound is right-censored at the
-    restriction time and flagged.
+    restriction time and flagged.  For several curves the interval holds one
+    entry per curve; a lower level out of reach on any curve raises
+    NotIdentified.
     """
     lo_level, hi_level = INTERVAL_LEVELS
-    lo = cqst(pred, lo_level)  # propagates NotIdentified
+    lo = _quantile_times(pred, lo_level)
+    if np.isnan(lo).any():
+        raise NotIdentified(f"quantile {lo_level} not reached")
     if t_u_star is None:
         t_u_star = float(pred.times[-1])
-    try:
-        hi = cqst(pred, hi_level)
-        censored = False
-    except NotIdentified:
-        hi, censored = t_u_star, True
-    return PredictionInterval(lo, min(hi, t_u_star) if censored else hi, censored)
+    hi = _quantile_times(pred, hi_level)
+    censored = np.isnan(hi)
+    hi = np.where(censored, t_u_star, hi)
+    if pred.values.ndim == 2:
+        return PredictionInterval(lo, hi, censored)
+    return PredictionInterval(float(lo[0]), float(hi[0]), bool(censored[0]))

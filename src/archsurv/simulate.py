@@ -123,6 +123,19 @@ class SimResult:
     config: SimConfig
 
 
+def _bisect(g, target, lo, hi, tol):
+    """Midpoints of [lo, hi] after bisecting each entry for g(x) = target,
+    g decreasing; at most 64 halvings, fewer once every width is below tol."""
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        too_low = g(mid) > target  # root right of mid
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+        if np.max(hi - lo) < tol:
+            break
+    return 0.5 * (lo + hi)
+
+
 def _invert_conditional(cop_u, cop_l, u_target, v_death, d_time, rate, tol=1e-10):
     """Place one onset column given death times.
 
@@ -140,17 +153,7 @@ def _invert_conditional(cop_u, cop_l, u_target, v_death, d_time, rate, tol=1e-10
     c_boundary = g_upper(d_time)
     upper = u_target >= c_boundary
     out = np.empty(n)
-
-    lo = np.zeros(n)
-    hi = d_time.copy()
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        too_low = g_upper(mid) > u_target  # G decreasing: root right of mid
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-        if np.max(hi - lo) < tol:
-            break
-    out[upper] = (0.5 * (lo + hi))[upper]
+    out[upper] = _bisect(g_upper, u_target, np.zeros(n), d_time, tol)[upper]
 
     if np.any(~upper):
         idx = ~upper
@@ -166,20 +169,13 @@ def _invert_conditional(cop_u, cop_l, u_target, v_death, d_time, rate, tol=1e-10
             return h2
 
         span = 80.0 / rate
-        lo2, hi2 = d_sub.copy(), d_sub + span
+        hi = d_sub + span
         for _ in range(40):
-            grow = g_lower(hi2) > target
+            grow = g_lower(hi) > target
             if not np.any(grow):
                 break
-            hi2 = np.where(grow, hi2 + span, hi2)
-        for _ in range(64):
-            mid = 0.5 * (lo2 + hi2)
-            too_low = g_lower(mid) > target
-            lo2 = np.where(too_low, mid, lo2)
-            hi2 = np.where(too_low, hi2, mid)
-            if np.max(hi2 - lo2) < tol:
-                break
-        out[idx] = 0.5 * (lo2 + hi2)
+            hi = np.where(grow, hi + span, hi)
+        out[idx] = _bisect(g_lower, target, d_sub, hi, tol)
     return out
 
 

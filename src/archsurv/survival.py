@@ -7,6 +7,19 @@ import numpy as np
 from .errors import EmptyDataError
 
 
+def step_lookup(times, values, t, side="right"):
+    """Value at t of a step function that is 1 before its first jump time:
+    right-continuous with side="right", the left limit with side="left".
+    A 2-d ``values`` holds one function per row on the shared ``times``."""
+    t = np.asarray(t, dtype=float)
+    if times.size == 0:
+        out = np.ones_like(t)
+    else:
+        idx = np.searchsorted(times, t, side=side) - 1
+        out = np.where(idx < 0, 1.0, values[..., np.maximum(idx, 0)])
+    return out if out.ndim else float(out)
+
+
 class StepSurvival:
     """A non-increasing, right-continuous step function on [0, t_max].
 
@@ -38,23 +51,11 @@ class StepSurvival:
 
     def __call__(self, t):
         """Right-continuous evaluation S(t)."""
-        t = np.asarray(t, dtype=float)
-        if self.values.size == 0:
-            out = np.ones_like(t)
-            return out if out.ndim else 1.0
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        out = np.where(idx < 0, 1.0, self.values[np.maximum(idx, 0)])
-        return out if out.ndim else float(out)
+        return step_lookup(self.times, self.values, t)
 
     def left_value(self, t):
         """Left limit S(t-)."""
-        t = np.asarray(t, dtype=float)
-        if self.values.size == 0:
-            out = np.ones_like(t)
-            return out if out.ndim else 1.0
-        idx = np.searchsorted(self.times, t, side="left") - 1
-        out = np.where(idx < 0, 1.0, self.values[np.maximum(idx, 0)])
-        return out if out.ndim else float(out)
+        return step_lookup(self.times, self.values, t, side="left")
 
     def mid_value(self, t):
         """(S(t-) + S(t)) / 2: midpoint across the jump when t is an atom.
@@ -169,24 +170,12 @@ def kaplan_meier(times, events, t_max=None) -> StepSurvival:
         raise EmptyDataError("kaplan_meier needs at least one record")
     if np.any(times < 0):
         raise ValueError("survival times must be non-negative")
-    order = np.argsort(times, kind="stable")
-    t_sorted = times[order]
-    e_sorted = events[order].astype(bool)
-    t_max_obs = float(t_sorted[-1]) if t_max is None else float(t_max)
-
-    uniq, first_idx = np.unique(t_sorted, return_index=True)
-    n = times.size
-    surv = []
-    s = 1.0
-    at_risk = n
-    jump_t = []
-    for i, t in enumerate(uniq):
-        stop = first_idx[i + 1] if i + 1 < uniq.size else n
-        block = slice(first_idx[i], stop)
-        d = int(np.count_nonzero(e_sorted[block]))
-        if d > 0:
-            s *= 1.0 - d / at_risk
-            jump_t.append(t)
-            surv.append(s)
-        at_risk -= stop - first_idx[i]
-    return StepSurvival(np.asarray(jump_t), np.asarray(surv), t_max=t_max_obs)
+    # events before censorings at a tied time: the at-risk count of a time
+    # is everyone not gone before it
+    uniq, inverse = np.unique(times, return_inverse=True)
+    deaths = np.bincount(inverse, weights=events.astype(bool))
+    at_risk = times.size - np.concatenate(([0], np.cumsum(np.bincount(inverse))[:-1]))
+    jump = deaths > 0
+    surv = np.cumprod(1.0 - deaths[jump] / at_risk[jump])
+    t_max = float(times.max()) if t_max is None else float(t_max)
+    return StepSurvival(uniq[jump], surv, t_max=t_max)

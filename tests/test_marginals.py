@@ -1,14 +1,25 @@
 """Stage-one estimators: concordance equation, self-consistency, conditional
 survival."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+
+from archsurv import marginals
 
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
 from archsurv.data import SurvivalData
 from archsurv.errors import DomainError, NoComparablePairs, NoRootError
-from archsurv.likelihood import FittedJointModel, fit_joint_model, onset_partials
+from archsurv.likelihood import (
+    FittedJointModel,
+    bootstrap_fit,
+    fit_joint_model,
+    onset_partials,
+)
 from archsurv.marginals import (
+    TAU_BRACKET,
     PairwiseAssociation,
     WeightSpec,
     _PairTable,
@@ -227,6 +238,56 @@ def test_solve_theta_comonotone_degenerate():
     )
     with pytest.raises(NoRootError):
         solve_theta(0, data, "frank")
+
+
+def test_solve_theta_below_independence_returns_lower_end():
+    # onsets fall as death times rise: every pair is discordant, so U < 0
+    # over the whole bracket and the association sits at its lower end
+    rng = np.random.default_rng(3)
+    d = np.sort(rng.exponential(size=120))
+    onset = 0.5 * d[0] * np.linspace(1.0, 0.01, 120)
+    data = SurvivalData(
+        t=onset[:, None], delta=np.ones((120, 1)), y=d, dtilde=np.ones(120)
+    )
+    info = {}
+    with pytest.warns(UserWarning, match="at or below independence"):
+        est = solve_theta(0, data, "frank", info=info)
+    assert est.tau_hat == pytest.approx(TAU_BRACKET[0], rel=1e-9)
+    assert info["boundary"] and info["evals"] == 0
+
+
+def test_solve_theta_frees_its_pair_table(monkeypatch):
+    # brentq holds the score function in a reference cycle; the pair table
+    # must not wait there for the next full garbage collection
+    made = []
+
+    class Tracked(marginals._PairTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(marginals, "_PairTable", Tracked)
+    data = _sim(ex1_config(k=1, n_train=80, n_test=0, seed=2)).train
+    gc.disable()
+    try:
+        solve_theta(0, data, "frank")
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_bootstrap_survives_replicate_below_independence():
+    # replicate 1 of this draw has U(0.001) < 0 on onset 3; it used to raise
+    # NoRootError and abort the run as "1/4 replicates failed estimation"
+    res = _sim(ex1_config(k=3, censor_upper=5, n_train=200, n_test=200, seed=3))
+    out = bootstrap_fit(res.train, "frank", b=4, seed=7)
+    assert out["failures"] == 0
+    assert out["tau_theta_draws"][1, 2] == pytest.approx(TAU_BRACKET[0], rel=1e-9)
+    sample = res.train.resample(np.random.default_rng([7, 1]))
+    with pytest.warns(UserWarning, match="at or below independence"):
+        fit = fit_joint_model(sample, "frank")
+    assert fit.diagnostics["theta_3_boundary"] is True
+    assert "theta_1_boundary" not in fit.diagnostics
 
 
 def test_solve_theta_rank_invariance():

@@ -8,7 +8,8 @@ import pytest
 from scipy import integrate
 
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
-from archsurv.errors import DomainError, NotIdentified
+from archsurv import predict
+from archsurv.errors import ConfigError, DomainError, NotIdentified
 from archsurv.likelihood import FittedJointModel
 from archsurv.marginals import PairwiseAssociation, WeightSpec
 from archsurv.predict import (
@@ -17,6 +18,7 @@ from archsurv.predict import (
     cmst,
     cqst,
     predict_baseline,
+    predict_curves,
     predict_survival_dp,
     prediction_interval,
     q_joint_density,
@@ -332,8 +334,8 @@ def test_dp_onset_on_flat_marginal_segment():
 
 
 def test_dp_vanishing_denominator_frame_holds_no_arrays():
-    # a caller that stores the exception keeps the raising frame alive
-    # through its traceback, so that frame must not pin the grid or the
+    # a caller that stores the exception keeps the raising frames alive
+    # through its traceback, so no prediction frame may pin the grid or the
     # per-atom arrays.  An onset before its marginal's first jump has
     # S_k = 1, where a Gumbel theta = 40 density factor H12 underflows to 0
     model = injected_model(family="gumbel")
@@ -349,13 +351,106 @@ def test_dp_vanishing_denominator_frame_holds_no_arrays():
         )
     held, tb = [], info.value.__traceback__
     while tb is not None:
-        if tb.tb_frame.f_code.co_name == "predict_survival_dp":
+        if tb.tb_frame.f_code.co_filename == predict.__file__:
             held += [
                 name for name, val in tb.tb_frame.f_locals.items()
                 if isinstance(val, np.ndarray)
             ]
         tb = tb.tb_next
     assert held == []
+
+
+# ---------------------------------------------------------------------------
+# one prediction path for every method
+
+
+def _one_query(q, model, method, times=None):
+    """The curve of one method by the one-curve predictors."""
+    if method == "DP":
+        return predict_survival_dp(q, model, times=times)
+    if method == "P0":
+        return predict_baseline(q, model, "P0", times=times)
+    base, _, knum = method.partition(":")
+    return predict_baseline(q, model, base, k=int(knum) - 1, times=times)
+
+
+def _close(a, b):
+    return np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "events",
+    [(), ((1, 0.7),), ((0, 0.4), (2, 1.1)), ((0, 0.3), (1, 0.7), (2, 1.2))],
+)
+@pytest.mark.parametrize("default_grid", [True, False])
+def test_curve_matrix_rows_equal_one_query_composition(events, default_grid):
+    # every row of the matrix, and its summaries, against the one-curve
+    # predictor followed by cmst, cqst and prediction_interval
+    model = injected_model()
+    q = PredictionQuery(events)
+    methods = ["DP", "P0"] + [
+        f"{base}:{k + 1}" for k, _ in q.events for base in ("Pk", "Pkm")
+    ]
+    t_star = 8.0
+    times = None if default_grid else np.linspace(q.landmark, t_star, 61)[1:]
+    pred = predict_curves(q, model, methods, times=times)
+    assert pred.values.shape == (len(methods), pred.times.size)
+    means = cmst(pred, t_star)
+    medians = cqst(pred, 0.5)
+    iv = prediction_interval(pred, t_u_star=t_star)
+    for j, method in enumerate(methods):
+        one = _one_query(q, model, method, times=times)
+        assert np.array_equal(one.times, pred.times)
+        assert _close(pred.values[j], one.values), method
+        assert _close(means[j], cmst(one, t_star)), method
+        assert _close(medians[j], cqst(one, 0.5)), method
+        one_iv = prediction_interval(one, t_u_star=t_star)
+        assert _close(iv.lo[j], one_iv.lo) and _close(iv.hi[j], one_iv.hi), method
+        assert iv.hi_censored[j] == one_iv.hi_censored, method
+
+
+def test_curve_matrix_shares_coinciding_rows():
+    model = injected_model()
+    one = PredictionQuery(((1, 0.7),))
+    pred = predict_curves(one, model, ["DP", "Pk:2", "Pkm:2"])
+    assert np.array_equal(pred.values[0], pred.values[1])
+    assert np.array_equal(pred.values[1], pred.values[2])
+    none = predict_curves(PredictionQuery(), model, ["DP", "P0"])
+    assert np.array_equal(none.values[0], none.values[1])
+    assert pred.method == ("DP", "Pk:2", "Pkm:2")
+
+
+def test_curve_matrix_method_grammar():
+    model = injected_model()
+    q = PredictionQuery(((0, 0.5),))
+    for bad in ("XX", "Pk", "Pk:one", "Pkx:1"):
+        with pytest.raises(ConfigError):
+            predict_curves(q, model, [bad])
+    with pytest.raises(DomainError):
+        predict_curves(q, model, ["Pk:2"])  # onset 2 not observed
+    with pytest.raises(DomainError):
+        predict_curves(q, model, ["DP"], times=[0.4, 1.0])
+
+
+def test_summaries_reduce_rows_with_nan_for_unreached_quantiles():
+    ts = np.array([2.0, 3.0, 4.0])
+    vals = np.array([[0.9, 0.6, 0.3], [0.9, 0.8, 0.7]])
+    pred = SurvivalPrediction(ts, vals, ("a", "b"), 1.0)
+    q = cqst(pred, 0.5)
+    assert q[0] == 4.0 and np.isnan(q[1])
+    iv = prediction_interval(pred, t_u_star=4.5)
+    assert list(iv.lo) == [2.0, 2.0] and list(iv.hi) == [4.5, 4.5]
+    assert list(iv.hi_censored) == [True, True]
+    # a lower level out of reach on any one curve is not identified
+    high = SurvivalPrediction(ts, np.vstack([vals, [0.99, 0.99, 0.98]]), "abc", 1.0)
+    with pytest.raises(NotIdentified):
+        prediction_interval(high)
+    with pytest.warns(UserWarning) as coarse:
+        means = cmst(pred, 4.0)
+        assert len(coarse) == 1  # the grid is shared: one warning for both
+        for j in range(2):
+            one = SurvivalPrediction(ts, vals[j], "x", 1.0)
+            assert means[j] == cmst(one, 4.0)
 
 
 # ---------------------------------------------------------------------------

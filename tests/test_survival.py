@@ -40,6 +40,33 @@ def test_km_ties_events_before_censorings():
     assert s(2.0) == pytest.approx(2 / 3)
 
 
+def _km_loop(times, events):
+    """Product-limit estimate, one distinct time at a time: (jump times,
+    values after each jump)."""
+    jumps, surv, s = [], [], 1.0
+    for t in np.unique(times):
+        at_risk = np.count_nonzero(times >= t)
+        d = np.count_nonzero((times == t) & (events != 0))
+        if d:
+            s *= 1.0 - d / at_risk
+            jumps.append(t)
+            surv.append(s)
+    return np.array(jumps), np.array(surv)
+
+
+def test_km_equals_product_limit_loop_with_heavy_ties():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        n = int(rng.integers(1, 80))
+        t = rng.integers(0, 8, size=n) * 0.37
+        e = rng.integers(0, 2, size=n)
+        s = kaplan_meier(t, e)
+        jumps, surv = _km_loop(t, e)
+        assert np.array_equal(s.times, jumps)
+        assert np.array_equal(s.values, surv)
+        assert s.t_max == t.max()
+
+
 def test_km_matches_empirical_on_uncensored_random_data():
     rng = np.random.default_rng(1)
     t = rng.exponential(size=200)
