@@ -37,7 +37,14 @@ def _as_array(x):
 
 
 def _clamp_unit(u):
-    return np.clip(_as_array(u), U_FLOOR, 1.0 - U_FLOOR)
+    return _as_array(u).clip(U_FLOOR, 1.0 - U_FLOOR)
+
+
+def _out(out, *args):
+    """`out`, or a new float array of the broadcast shape of `args`."""
+    if out is None:
+        return np.empty(np.broadcast(*args).shape)
+    return out
 
 
 def _check_theta(family: str, theta: float) -> None:
@@ -231,42 +238,119 @@ class ArchimedeanCopula:
             raise DomainError("H requires u, v in (0, 1]")
         return self._h_clamped(u_arr, v_arr)
 
-    def _h_clamped(self, u, v):
+    def _h_clamped(self, u, v, out=None):
         uc, vc = _clamp_unit(u), _clamp_unit(v)
         th = self.theta
         with np.errstate(over="ignore"):
             if self.family == "clayton":
-                la = self._clayton_log_a(uc, vc)
-                out = np.exp(-la / th)
+                out = self._clayton_log_a(uc, vc, out)
+                np.negative(out, out=out)  # exp(-la / th)
+                out /= th
+                np.exp(out, out=out)
             elif self.family == "gumbel":
-                lt = self._gumbel_log_t(uc, vc)
-                out = np.exp(-np.exp(lt / th))
+                out = self._gumbel_log_t(uc, vc, out)  # exp(-exp(lt / th))
+                out /= th
+                np.exp(out, out=out)
+                np.negative(out, out=out)
+                np.exp(out, out=out)
             else:
-                q = np.expm1(-th * uc) * np.expm1(-th * vc) / np.expm1(-th)
-                out = -np.log1p(q) / th
-        out = np.where(_as_array(u) == 1.0, np.clip(v, 0.0, 1.0), out)
-        out = np.where(_as_array(v) == 1.0, np.clip(u, 0.0, 1.0), out)
+                # -log1p(expm1(-th u) expm1(-th v) / expm1(-th)) / th
+                out = np.multiply(
+                    np.expm1(-th * uc), np.expm1(-th * vc), out=_out(out, uc, vc)
+                )
+                out /= np.expm1(-th)
+                np.log1p(out, out=out)
+                np.negative(out, out=out)
+                out /= th
+        # H(1, v) = v, then H(u, 1) = u: whole rows or columns of an outer grid
+        for one, other in ((u, v), (v, u)):
+            is_one = _as_array(one) == 1.0
+            if is_one.any():
+                np.copyto(out, np.clip(other, 0.0, 1.0), where=is_one)
         return out if out.ndim else float(out)
 
-    def _clayton_log_a(self, u, v):
+    def _clayton_log_a(self, u, v, out=None):
         # log(u^-th + v^-th - 1), computed in log space to survive large theta
         th = self.theta
         lu, lv = -th * np.log(u), -th * np.log(v)
-        m = np.maximum(lu, lv)
-        return m + np.log(np.exp(lu - m) + np.exp(lv - m) - np.exp(-m))
+        m = np.maximum(lu, lv, out=_out(out, lu, lv))
+        acc, tmp = np.empty_like(m), np.empty_like(m)
+        np.exp(np.subtract(lu, m, out=acc), out=acc)
+        acc += np.exp(np.subtract(lv, m, out=tmp), out=tmp)
+        acc -= np.exp(np.negative(m, out=tmp), out=tmp)
+        m += np.log(acc, out=acc)
+        return m
 
-    def _gumbel_log_t(self, u, v):
+    def _gumbel_log_t(self, u, v, out=None):
         th = self.theta
         lx = th * np.log(-np.log(u))
         ly = th * np.log(-np.log(v))
-        m = np.maximum(lx, ly)
-        return m + np.log1p(np.exp(-np.abs(lx - ly)))
+        m = np.maximum(lx, ly, out=_out(out, lx, ly))
+        tmp = np.subtract(lx, ly, out=np.empty_like(m))
+        np.abs(tmp, out=tmp)
+        np.negative(tmp, out=tmp)
+        np.exp(tmp, out=tmp)
+        m += np.log1p(tmp, out=tmp)
+        return m
+
+    # Each family's H2(u, v) from the terms H1, H2 and H12 share; by
+    # exchangeability H1(u, v) is the same expression with u and v swapped.
+    # `out` may be the shared-term array itself.
+
+    def _frank_h2(self, eu, vc, denom, out=None):
+        # exp(-th v) expm1(-th u) / (expm1(-th) + expm1(-th u) expm1(-th v))
+        return np.divide(np.exp(-self.theta * vc) * eu, denom, out=out)
+
+    def _clayton_h2(self, la, lv, out=None):
+        # exp(-(1 + 1/th) la - (th + 1) log v)
+        th = self.theta
+        out = np.multiply(la, -(1.0 + 1.0 / th), out=_out(out, la))
+        out -= (th + 1.0) * lv
+        return np.exp(out, out=out)
+
+    def _gumbel_h2(self, lt, s, lly, lv, out=None):
+        # exp(-s + (1/th - 1) lt + (th - 1) log(-log v) - log v)
+        th = self.theta
+        out = np.multiply(lt, 1.0 / th - 1.0, out=_out(out, lt))
+        out -= s
+        out += (th - 1.0) * lly
+        out -= lv
+        return np.exp(out, out=out)
+
+    def h2(self, u, v, out=None):
+        """H2(u, v) = dH/dv in [0, 1]: the survival of the first coordinate
+        past u given the second at v.  H1(u, v) = dH/du is h2(v, u).
+
+        If given, `out` (float, of the broadcast shape of u and v) receives
+        the result, and the only other full-size arrays are one or two
+        temporaries.
+        """
+        uc, vc = _clamp_unit(u), _clamp_unit(v)
+        th = self.theta
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.family == "clayton":
+                la = self._clayton_log_a(uc, vc, out)
+                out = self._clayton_h2(la, np.log(vc), out=la)
+            elif self.family == "gumbel":
+                lt = self._gumbel_log_t(uc, vc, out)
+                s = np.divide(lt, th, out=np.empty_like(lt))
+                np.exp(s, out=s)
+                lv = np.log(vc)
+                out = self._gumbel_h2(lt, s, np.log(-lv), lv, out=lt)
+            else:
+                eu = np.expm1(-th * uc)
+                denom = np.multiply(eu, np.expm1(-th * vc), out=_out(out, uc, vc))
+                denom += np.expm1(-th)
+                out = self._frank_h2(eu, vc, denom, out=denom)
+        out.clip(0.0, 1.0, out=out)
+        return out if out.ndim else float(out)
 
     def partials(self, u, v):
         """(H1, H2, H12): first partials in u and v and the mixed partial.
 
         H1 and H2 carry the conditional-survival interpretation and live in
-        [0, 1]; H12 is the copula density factor and is non-negative.
+        [0, 1]; H12 is the copula density factor and is non-negative.  A
+        caller that reads one of H1, H2 calls `h2` instead.
         """
         uc, vc = _clamp_unit(u), _clamp_unit(v)
         th = self.theta
@@ -274,8 +358,8 @@ class ArchimedeanCopula:
             if self.family == "clayton":
                 la = self._clayton_log_a(uc, vc)
                 lu, lv = np.log(uc), np.log(vc)
-                h1 = np.exp(-(1.0 + 1.0 / th) * la - (th + 1.0) * lu)
-                h2 = np.exp(-(1.0 + 1.0 / th) * la - (th + 1.0) * lv)
+                h1 = self._clayton_h2(la, lu)
+                h2 = self._clayton_h2(la, lv)
                 h12 = (1.0 + th) * np.exp(
                     -(2.0 + 1.0 / th) * la - (th + 1.0) * (lu + lv)
                 )
@@ -283,19 +367,15 @@ class ArchimedeanCopula:
                 lt = self._gumbel_log_t(uc, vc)
                 s = np.exp(lt / th)
                 beta = 1.0 / th
-                llx = np.log(-np.log(uc))
-                lly = np.log(-np.log(vc))
-                h1 = np.exp(-s + (beta - 1.0) * lt + (th - 1.0) * llx - np.log(uc))
-                h2 = np.exp(-s + (beta - 1.0) * lt + (th - 1.0) * lly - np.log(vc))
+                lu, lv = np.log(uc), np.log(vc)
+                llx, lly = np.log(-lu), np.log(-lv)
+                h1 = self._gumbel_h2(lt, s, llx, lu)
+                h2 = self._gumbel_h2(lt, s, lly, lv)
                 h12 = (
                     th
                     * (1.0 - beta + beta * s)
                     * np.exp(
-                        -s
-                        + (beta - 2.0) * lt
-                        + (th - 1.0) * (llx + lly)
-                        - np.log(uc)
-                        - np.log(vc)
+                        -s + (beta - 2.0) * lt + (th - 1.0) * (llx + lly) - lu - lv
                     )
                 )
             else:
@@ -305,8 +385,8 @@ class ArchimedeanCopula:
                     np.expm1(-th),
                 )
                 denom = e1 + eu * ev
-                h1 = np.exp(-th * uc) * ev / denom
-                h2 = np.exp(-th * vc) * eu / denom
+                h1 = self._frank_h2(ev, uc, denom)
+                h2 = self._frank_h2(eu, vc, denom)
                 h12 = -th * np.exp(-th * (uc + vc)) * e1 / denom**2
         h1 = np.clip(h1, 0.0, 1.0)
         h2 = np.clip(h2, 0.0, 1.0)

@@ -364,7 +364,8 @@ def fit_joint_model(
         raise EstimationError("km", str(exc)) from exc
 
     # the pair tables go when the fit returns: freed one by one, their pages go back to
-    # the system, and each marginal's sweeps fault them in again (cohort fit +40%)
+    # the system and the next onset's pair-table build faults them in again (cohort
+    # fit: 21.7k minor faults instead of 10.4k, fit time +15%)
     thetas, marginals, roots = [], [], []
     for k in range(data.k):
         root = {}

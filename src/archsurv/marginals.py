@@ -191,6 +191,21 @@ def solve_theta(
     return PairwiseAssociation(k, theta_hat, tau_from_theta(family, theta_hat), weight_spec)
 
 
+def _capped_ratio_sums(num, pos, mask):
+    """Row sums over `mask` of min(num[i, j] / num[pos[j], j], 1): each
+    column's conditional on the grid over its value at the subject's own
+    onset (grid row pos[j]), a column whose denominator is not positive
+    reading 0.  Overwrites `num`."""
+    den = num[pos, np.arange(pos.size)]
+    num /= np.maximum(den, 1e-300)
+    vanished = ~(den > 0)
+    if vanished.any():
+        num[:, vanished] = 0.0
+    np.minimum(num, 1.0, out=num)
+    num *= mask
+    return num.sum(axis=1)
+
+
 def self_consistent_marginal(
     k,
     data,
@@ -228,22 +243,21 @@ def self_consistent_marginal(
     pos_d = np.searchsorted(grid, tdth)
     mask_b = tb[None, :] <= grid[:, None]
     mask_d = tdth[None, :] <= grid[:, None]
+    # each sweep writes its (grid x subject) conditionals into these
+    num_b = np.empty(mask_b.shape)
+    num_d = np.empty(mask_d.shape)
 
     converged = False
     it = 0
     for it in range(1, SC_MAX_SWEEPS + 1):
-        u_grid = np.clip(s, 1e-12, 1.0)[:, None]
+        u_grid = s.clip(1e-12, 1.0)[:, None]
         new = at_risk.copy()
         if tb.size:
-            num = cop._h_clamped(u_grid, vb[None, :])
-            den = cop._h_clamped(np.clip(s[pos_b], 1e-12, 1.0), vb)
-            ratio = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-            new += (np.minimum(ratio, 1.0) * mask_b).sum(axis=1)
+            cop._h_clamped(u_grid, vb[None, :], out=num_b)
+            new += _capped_ratio_sums(num_b, pos_b, mask_b)
         if tdth.size:
-            _, num, _ = cop.partials(u_grid, vdth[None, :])
-            _, den, _ = cop.partials(np.clip(s[pos_d], 1e-12, 1.0), vdth)
-            ratio = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-            new += (np.minimum(ratio, 1.0) * mask_d).sum(axis=1)
+            cop.h2(u_grid, vdth[None, :], out=num_d)
+            new += _capped_ratio_sums(num_d, pos_d, mask_d)
         new /= n
         new = np.minimum.accumulate(np.clip(new, 0.0, 1.0))
         delta_sup = float(np.max(np.abs(new - s)))

@@ -146,9 +146,10 @@ def predict_curves(
     onset index.  DP uses the full history; P0 none of it (the terminal
     ratio S_D(t)/S_D(landmark)); Pk onset K anchored at its own time; Pkm
     onset K anchored at the landmark.  The curves are the rows of the
-    result, on `times` or on the default grid.  Methods that coincide share
-    a row: DP is P0 with no onset and Pk with one, and the Pk and Pkm of
-    one onset share their numerator.
+    result, on `times` (strictly increasing, past the landmark) or on the
+    default grid.  Methods that coincide share a row: DP is P0 with no
+    onset and Pk with one, and the Pk and Pkm of one onset share their
+    numerator.
     """
     lm = query.landmark
     observed = dict(query.events)
@@ -163,8 +164,11 @@ def predict_curves(
 
     atoms, masses = model.terminal.atoms(complete_tail=True)
     if times is None:
-        times = _default_grid(atoms, lm, model.t_max)
-    times = np.asarray(times, dtype=float)
+        times = _default_grid(atoms, lm, model.t_max)  # increasing by construction
+    else:  # cmst, cqst and the intervals read the grid in order
+        times = np.asarray(times, dtype=float)
+        if times.size > 1 and not (times[1:] > times[:-1]).all():
+            raise DomainError("evaluation times must be strictly increasing")
     if times.size == 0:
         raise DomainError("no evaluation time past the landmark")
     if np.any(times <= lm):
@@ -197,9 +201,9 @@ def predict_curves(
             k, anchor = key
             cop = model.copula_for(k)
             u = float(model.marginals[k](observed[k]))
-            if k not in numerators:
-                numerators[k], _, _ = cop.partials(np.full(times.size, u), s_times)
-            den, _, _ = cop.partials(u, float(s(anchor)))
+            if k not in numerators:  # H1(u, S(t)) = h2(S(t), u)
+                numerators[k] = cop.h2(s_times, np.full(times.size, u))
+            den = cop.h2(float(s(anchor)), u)
             if den <= 0:
                 raise NotIdentified(
                     f"single-event denominator vanishes at {anchor:.6g}"

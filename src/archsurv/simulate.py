@@ -147,8 +147,7 @@ def _invert_conditional(cop_u, cop_l, u_target, v_death, d_time, rate, tol=1e-10
     s_of = lambda x: np.exp(-rate * x)
 
     def g_upper(x):
-        _, h2, _ = cop_u.partials(s_of(x), v_death)
-        return h2
+        return cop_u.h2(s_of(x), v_death)
 
     c_boundary = g_upper(d_time)
     upper = u_target >= c_boundary
@@ -159,14 +158,12 @@ def _invert_conditional(cop_u, cop_l, u_target, v_death, d_time, rate, tol=1e-10
         idx = ~upper
         v = v_death[idx]
         d_sub = d_time[idx]
-        _, h2_at_d, _ = cop_l.partials(s_of(d_sub), v)
-        h2_at_d = np.maximum(h2_at_d, 1e-300)
+        h2_at_d = np.maximum(cop_l.h2(s_of(d_sub), v), 1e-300)
         # target on the raw lower branch: u / c * H2_l(S(D), v)
         target = u_target[idx] / np.maximum(c_boundary[idx], 1e-300) * h2_at_d
 
         def g_lower(x):
-            _, h2, _ = cop_l.partials(s_of(x), v)
-            return h2
+            return cop_l.h2(s_of(x), v)
 
         span = 80.0 / rate
         hi = d_sub + span

@@ -1,8 +1,145 @@
 """Helpers that several test modules share and the package does not need."""
 
-from archsurv.copulas import ArchimedeanCopula, theta_from_tau
+import warnings
+
+import numpy as np
+
+from archsurv.copulas import ArchimedeanCopula, _clamp_unit, theta_from_tau
+from archsurv.marginals import SC_MAX_SWEEPS, SC_TOL
+from archsurv.survival import StepSurvival, kaplan_meier
 
 
 def copula_from_tau(family: str, tau: float) -> ArchimedeanCopula:
     """The copula of a family at a given Kendall's tau."""
     return ArchimedeanCopula(family, theta_from_tau(family, tau))
+
+
+# ---------------------------------------------------------------------------
+# The copula algebra and self-consistency sweep written with fresh arrays and
+# full-size np.where, one expression per quantity: the in-place package code
+# must reproduce them bit for bit.
+
+
+def _clayton_log_a(cop, u, v):
+    th = cop.theta
+    lu, lv = -th * np.log(u), -th * np.log(v)
+    m = np.maximum(lu, lv)
+    return m + np.log(np.exp(lu - m) + np.exp(lv - m) - np.exp(-m))
+
+
+def _gumbel_log_t(cop, u, v):
+    th = cop.theta
+    lx = th * np.log(-np.log(u))
+    ly = th * np.log(-np.log(v))
+    m = np.maximum(lx, ly)
+    return m + np.log1p(np.exp(-np.abs(lx - ly)))
+
+
+def reference_h(cop, u, v):
+    """Joint survival H(u, v) = psi(phi(u) + phi(v)) on clamped arguments."""
+    uc, vc = _clamp_unit(u), _clamp_unit(v)
+    th = cop.theta
+    with np.errstate(over="ignore"):
+        if cop.family == "clayton":
+            out = np.exp(-_clayton_log_a(cop, uc, vc) / th)
+        elif cop.family == "gumbel":
+            out = np.exp(-np.exp(_gumbel_log_t(cop, uc, vc) / th))
+        else:
+            q = np.expm1(-th * uc) * np.expm1(-th * vc) / np.expm1(-th)
+            out = -np.log1p(q) / th
+    out = np.where(np.asarray(u, dtype=float) == 1.0, np.clip(v, 0.0, 1.0), out)
+    out = np.where(np.asarray(v, dtype=float) == 1.0, np.clip(u, 0.0, 1.0), out)
+    return out if out.ndim else float(out)
+
+
+def reference_partials(cop, u, v):
+    """(H1, H2, H12), each written out in full."""
+    uc, vc = _clamp_unit(u), _clamp_unit(v)
+    th = cop.theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cop.family == "clayton":
+            la = _clayton_log_a(cop, uc, vc)
+            lu, lv = np.log(uc), np.log(vc)
+            h1 = np.exp(-(1.0 + 1.0 / th) * la - (th + 1.0) * lu)
+            h2 = np.exp(-(1.0 + 1.0 / th) * la - (th + 1.0) * lv)
+            h12 = (1.0 + th) * np.exp(-(2.0 + 1.0 / th) * la - (th + 1.0) * (lu + lv))
+        elif cop.family == "gumbel":
+            lt = _gumbel_log_t(cop, uc, vc)
+            s = np.exp(lt / th)
+            beta = 1.0 / th
+            llx = np.log(-np.log(uc))
+            lly = np.log(-np.log(vc))
+            h1 = np.exp(-s + (beta - 1.0) * lt + (th - 1.0) * llx - np.log(uc))
+            h2 = np.exp(-s + (beta - 1.0) * lt + (th - 1.0) * lly - np.log(vc))
+            h12 = (
+                th
+                * (1.0 - beta + beta * s)
+                * np.exp(
+                    -s
+                    + (beta - 2.0) * lt
+                    + (th - 1.0) * (llx + lly)
+                    - np.log(uc)
+                    - np.log(vc)
+                )
+            )
+        else:
+            eu, ev, e1 = np.expm1(-th * uc), np.expm1(-th * vc), np.expm1(-th)
+            denom = e1 + eu * ev
+            h1 = np.exp(-th * uc) * ev / denom
+            h2 = np.exp(-th * vc) * eu / denom
+            h12 = -th * np.exp(-th * (uc + vc)) * e1 / denom**2
+    h1 = np.clip(h1, 0.0, 1.0)
+    h2 = np.clip(h2, 0.0, 1.0)
+    h12 = np.maximum(h12, 0.0)
+    if h1.ndim == 0:
+        return float(h1), float(h2), float(h12)
+    return h1, h2, h12
+
+
+def reference_self_consistent(k, data, theta_hat, s_d, family):
+    """The self-consistency fixed point with every sweep's arrays built
+    afresh; returns the marginal and the number of sweeps."""
+    cop = ArchimedeanCopula(family, theta_hat)
+    t = data.t[:, k]
+    d = data.delta[:, k].astype(bool)
+    n = data.n
+
+    grid = np.unique(t)
+    s = np.asarray(kaplan_meier(t, d, t_max=data.t_max)(grid), dtype=float)
+    at_risk = (n - np.searchsorted(np.sort(t), grid, "right")).astype(float)
+
+    cens = ~d
+    both_cens = cens & (data.dtilde == 0)
+    death_cens = cens & (data.dtilde == 1)
+    vb = np.asarray(s_d.mid_value(data.y[both_cens]), dtype=float)
+    vdth = np.asarray(s_d.mid_value(data.y[death_cens]), dtype=float)
+    tb = t[both_cens]
+    tdth = t[death_cens]
+    pos_b = np.searchsorted(grid, tb)
+    pos_d = np.searchsorted(grid, tdth)
+    mask_b = tb[None, :] <= grid[:, None]
+    mask_d = tdth[None, :] <= grid[:, None]
+
+    it = 0
+    for it in range(1, SC_MAX_SWEEPS + 1):
+        u_grid = np.clip(s, 1e-12, 1.0)[:, None]
+        new = at_risk.copy()
+        if tb.size:
+            num = reference_h(cop, u_grid, vb[None, :])
+            den = reference_h(cop, np.clip(s[pos_b], 1e-12, 1.0), vb)
+            ratio = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+            new += (np.minimum(ratio, 1.0) * mask_b).sum(axis=1)
+        if tdth.size:
+            _, num, _ = reference_partials(cop, u_grid, vdth[None, :])
+            _, den, _ = reference_partials(cop, np.clip(s[pos_d], 1e-12, 1.0), vdth)
+            ratio = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
+            new += (np.minimum(ratio, 1.0) * mask_d).sum(axis=1)
+        new /= n
+        new = np.minimum.accumulate(np.clip(new, 0.0, 1.0))
+        delta_sup = float(np.max(np.abs(new - s)))
+        s = new
+        if delta_sup < SC_TOL:
+            break
+    else:
+        warnings.warn("reference self-consistency did not converge", RuntimeWarning)
+    return StepSurvival(grid, s, t_max=data.t_max), it

@@ -211,7 +211,14 @@ def test_predict_query_errors_exit_4(workdir, tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--times", "1.0,x"], ["--cqst-levels", "0.5,x"], ["--cqst-levels", "0.5,1.5"]]
+    "flags",
+    [
+        ["--times", "1.0,x"],
+        ["--cqst-levels", "0.5,x"],
+        ["--cqst-levels", "0.5,1.5"],
+        ["--times", "3,1,4,2"],  # out of order: the summaries read the grid in order
+        ["--times", "1,2,2,3"],
+    ],
 )
 def test_predict_bad_number_flags_exit_2(workdir, tmp_path, flags):
     tmp, _ = workdir

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from archsurv.copulas import ArchimedeanCopula, tau_from_theta, theta_from_tau
 from archsurv.errors import DomainError, RangeError, UnsupportedOrder
-from tests._oracles import copula_from_tau
+from tests._oracles import copula_from_tau, reference_h, reference_partials
 
 TAU_GRID = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
@@ -247,6 +249,36 @@ def test_partials_match_finite_differences(family):
         assert h2 == pytest.approx(h2_fd, rel=1e-4, abs=1e-8)
         assert h12 == pytest.approx(h12_fd, rel=1e-3, abs=1e-6)
         assert 0.0 <= h1 <= 1.0 and 0.0 <= h2 <= 1.0 and h12 >= 0.0
+
+
+_UNIT = st.floats(1e-12, 1.0)
+_THETA = {
+    "frank": st.floats(-40.0, 40.0).filter(lambda th: abs(th) > 1e-6),
+    "clayton": st.floats(1e-6, 40.0),
+    "gumbel": st.floats(1.0, 40.0),
+}
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_h2_is_the_h2_of_partials_and_h1_by_exchangeability(family, data):
+    cop = ArchimedeanCopula(family, data.draw(_THETA[family], label="theta"))
+    pairs = data.draw(st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=6), label="uv")
+    u, v = (np.array(c) for c in zip(*pairs))
+    with np.errstate(all="ignore"):
+        for a, b in ((u, v), (u[0], v[0]), (u[:, None], v[None, :])):
+            h1, h2, h12 = cop.partials(a, b)
+            assert np.array_equal(cop.h2(a, b), h2, equal_nan=True)
+            assert np.array_equal(cop.h2(b, a), h1, equal_nan=True)
+            if np.ndim(h2):
+                out = np.empty(np.shape(h2))
+                assert cop.h2(a, b, out=out) is out
+                assert np.array_equal(out, h2, equal_nan=True)
+            # and the shared-term refactor left every partial, and H, unchanged
+            for got, want in zip((h1, h2, h12), reference_partials(cop, a, b)):
+                assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(cop._h_clamped(a, b), reference_h(cop, a, b), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

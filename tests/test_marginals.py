@@ -32,7 +32,7 @@ from archsurv.marginals import (
 from archsurv.predict import PredictionQuery, q_joint_density
 from archsurv.simulate import SimConfig, ex1_config, simulate_dataset
 from archsurv.survival import StepSurvival, kaplan_meier
-from tests._oracles import copula_from_tau
+from tests._oracles import copula_from_tau, reference_self_consistent
 
 
 def _sim(config):
@@ -382,6 +382,76 @@ def test_self_consistency_tracks_true_marginal():
     km = kaplan_meier(data.t[:, 0], data.delta[:, 0])
     sup_km = np.max(np.abs(np.asarray(km(grid)) - np.exp(-grid)))
     assert sup < sup_km
+
+
+def _sweep_data(rng, n, censoring):
+    """One onset whose censored onsets are censored by independent censoring
+    only ("both"), by death only ("death"), or by either ("mixed").  The two
+    earliest records are censored onsets, so the curve is exactly 1 on the
+    first grid points; unless censoring is "death", no death precedes them,
+    so their terminal survival v is exactly 1."""
+    y = np.sort(rng.uniform(0.5, 10.0, size=n))
+    delta = (rng.uniform(size=n) < 0.5).astype(int)
+    t = np.where(delta == 1, y * rng.uniform(0.05, 1.0, size=n), y)
+    died = rng.integers(0, 2, size=n)
+    dtilde = {"both": np.where(delta == 1, died, 0),
+              "death": np.where(delta == 1, died, 1),
+              "mixed": died}[censoring]
+    t[:2] = y[:2] = [0.01, 0.02]
+    delta[:2] = 0
+    dtilde[:2] = 1 if censoring == "death" else 0
+    return SurvivalData(t[:, None], delta[:, None], y, dtilde)
+
+
+def _assert_matches_oracle(data, theta, family):
+    s_d = terminal_km(data)
+    info = {}
+    got = self_consistent_marginal(0, data, theta, s_d, family, info=info)
+    want, sweeps = reference_self_consistent(0, data, theta, s_d, family)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.values, want.values)
+    assert info["iterations"] == sweeps
+    return got
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+@pytest.mark.parametrize("censoring", ["both", "death", "mixed"])
+def test_self_consistency_equals_fresh_array_oracle(family, censoring):
+    # the sweeps write into per-onset buffers and read each denominator off
+    # the grid matrix; the oracle builds every array afresh
+    seed = ("both", "death", "mixed").index(censoring)
+    data = _sweep_data(np.random.default_rng(40 + seed), 120, censoring)
+    got = _assert_matches_oracle(data, theta_from_tau(family, 0.5), family)
+    assert got.values[0] == got.values[1] == 1.0  # rows with u == 1
+    cens = data.delta[:, 0] == 0
+    both = cens & (data.dtilde == 0)
+    death = cens & (data.dtilde == 1)
+    assert both.any() == (censoring != "death")
+    assert death.any() == (censoring != "both")
+    if censoring != "death":  # a column with v == 1
+        assert np.any(terminal_km(data).mid_value(data.y[both]) == 1.0)
+
+
+@pytest.mark.parametrize("family, theta", [("frank", 800.0), ("clayton", 500.0), ("gumbel", 200.0)])
+def test_self_consistency_zero_denominator_column_equals_oracle(family, theta):
+    # onsets seen early, deaths late, and six onsets censored by deaths at
+    # 2-3 where the curve is already low: at this association H2 underflows
+    # to 0 at some of their own onset times, and those columns read 0
+    rng = np.random.default_rng(3)
+    t_seen, y_seen = rng.uniform(0.1, 1.0, 40), rng.uniform(10.0, 20.0, 40)
+    y_cens = rng.uniform(2.0, 3.0, 6)
+    data = SurvivalData(
+        np.r_[t_seen, y_cens][:, None], np.r_[np.ones(40), np.zeros(6)][:, None].astype(int),
+        np.r_[y_seen, y_cens], np.ones(46, dtype=int),
+    )
+    t = data.t[:, 0]
+    grid = np.unique(t)
+    start = np.asarray(kaplan_meier(t, data.delta[:, 0], t_max=data.t_max)(grid))
+    v = np.asarray(terminal_km(data).mid_value(y_cens))
+    with np.errstate(all="ignore"):
+        den = ArchimedeanCopula(family, theta).h2(start[np.searchsorted(grid, y_cens)], v)
+        assert np.any(den == 0.0)
+        _assert_matches_oracle(data, theta, family)
 
 
 @pytest.mark.slow

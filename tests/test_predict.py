@@ -430,6 +430,11 @@ def test_curve_matrix_method_grammar():
         predict_curves(q, model, ["Pk:2"])  # onset 2 not observed
     with pytest.raises(DomainError):
         predict_curves(q, model, ["DP"], times=[0.4, 1.0])
+    # cmst, cqst and prediction_interval read the grid in order: on
+    # [3, 1, 4, 2] the CMST of one history came out 1.642 instead of 0.751
+    for times in ([3.0, 1.0, 4.0, 2.0], [1.0, 2.0, 2.0, 3.0]):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            predict_curves(q, model, ["DP", "P0", "Pk:1"], times=times)
 
 
 def test_summaries_reduce_rows_with_nan_for_unreached_quantiles():
