@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -96,19 +97,24 @@ def _fit_summary(fit: FittedJointModel, boot=None):
     return "\n".join(lines)
 
 
-def cmd_fit(args):
-    cfg = RunConfig.load(args.config)
-    try:
-        data = read_data_csv(args.data)
-    except ConfigError as exc:
-        _fail(2, str(exc))
-    fit_kw = dict(
+def _fit_kwargs(cfg):
+    """Keywords of every model fit a command makes, from the run config."""
+    return dict(
         weight_spec=WeightSpec(cfg["weights.kind"]),
         mc_n=cfg["mc.n"],
         mc_seed=cfg["mc.seed"],
         tau_bounds=(cfg["optimizer.tau_min"], cfg["optimizer.tau_max"]),
         tau_tol=cfg["optimizer.tau_tol"],
     )
+
+
+def cmd_fit(args):
+    cfg = RunConfig.load(args.config)
+    try:
+        data = read_data_csv(args.data)
+    except ConfigError as exc:
+        _fail(2, str(exc))
+    fit_kw = _fit_kwargs(cfg)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -246,6 +252,9 @@ def cmd_evaluate(args):
     except (ConfigError, KeyError, ValueError) as exc:
         _fail(2, str(exc))
     mcfg = _metric_config(cfg, ipcw=cfg["metrics.ipcw"] or d_true is None)
+    # the scores use the restriction time capped at the follow-up end, and
+    # so does the report
+    mcfg = replace(mcfg, t_u_star=min(mcfg.t_u_star, model.t_max))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -257,9 +266,7 @@ def cmd_evaluate(args):
         methods={name: rep.to_dict() for name, rep in reports.items()},
     )
     if args.curves_out:
-        grid = MetricConfig(
-            min(mcfg.t_u_star, model.t_max), mcfg.qpe_tau, mcfg.n_grid, mcfg.ipcw
-        ).grid()
+        grid = mcfg.grid()
         with open(args.curves_out, "w") as fh:
             fh.write(provenance_line("evaluate", args.seed, "-") + "\n")
             fh.write("method,t,bs,auc\n")
@@ -291,9 +298,7 @@ def cmd_crossval(args):
             config=mcfg,
             seed=args.seed if args.seed is not None else 0,
             threads=args.threads,
-            weight_spec=WeightSpec(cfg["weights.kind"]),
-            mc_n=cfg["mc.n"],
-            mc_seed=cfg["mc.seed"],
+            **_fit_kwargs(cfg),
         )
     except ConfigError as exc:
         _fail(2, str(exc))

@@ -11,9 +11,9 @@ grammar:
     optimizer.tau_max    upper search bound on tau         (0.95)
     optimizer.tau_tol    search tolerance on tau           (1e-4)
     weights.kind         unit | dampened                   (unit)
-    metrics.t_u_star     restriction time                  (12.0)
-    metrics.qpe_tau      quantile level for the check loss (0.5)
-    metrics.grid_points  score-curve grid size             (100)
+    metrics.t_u_star     restriction time, > 0             (12.0)
+    metrics.qpe_tau      check-loss quantile, in (0,1)     (0.5)
+    metrics.grid_points  score-curve grid size, >= 1       (100)
     metrics.ipcw         true | false                      (false)
     cv.scheme            kfold | random                    (kfold)
     cv.folds             folds for kfold, >= 2             (3)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .copulas import ArchimedeanCopula, theta_from_tau
+from .copulas import U_FLOOR, ArchimedeanCopula, theta_from_tau
 from .data import SurvivalData
 from .errors import EstimationError
 from .marginals import (
@@ -54,8 +54,9 @@ def _safe_log(x):
 
 
 def _phi_pos(cop, x):
-    """Generator applied to survival values clipped into its open domain."""
-    return np.asarray(cop.phi(np.clip(x, 1e-300, 1.0)))
+    """Generator applied to survival values clipped to [U_FLOOR, 1], the
+    floor `phi` clamps its arguments to."""
+    return np.asarray(cop.phi(np.clip(x, U_FLOOR, 1.0)))
 
 
 def _segment_logsumexp(x, starts, seg):

@@ -1,10 +1,14 @@
 """Predictive-accuracy metrics with censoring weights, and the evaluation /
-cross-validation drivers that apply a fitted model to a dataset."""
+cross-validation drivers that apply a fitted model to a dataset.
+
+The scores take one row per method along a leading axis and reduce each row
+along its C-contiguous last axis, so a row sums as that method alone would.
+They return a list with one number per method, or one number for one row."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,6 +41,14 @@ class MetricConfig:
     n_grid: int = 100
     ipcw: bool = False
 
+    def __post_init__(self):
+        if not self.t_u_star > 0:
+            raise ConfigError(f"restriction time must be positive, got {self.t_u_star}")
+        if not 0.0 < self.qpe_tau < 1.0:
+            raise ConfigError(f"quantile level must lie in (0, 1), got {self.qpe_tau}")
+        if not self.n_grid >= 1:
+            raise ConfigError(f"score grid needs at least 1 point, got {self.n_grid}")
+
     def grid(self) -> np.ndarray:
         return np.linspace(
             self.t_u_star / self.n_grid, self.t_u_star, self.n_grid
@@ -48,22 +60,20 @@ def _check_loss(x, tau):
 
 
 def ipcw_weights_at(y, dtilde, s_c, t):
-    """w_i(t) = dtilde * I(y <= t)/S_c(y-) + I(y > t)/S_c(t)."""
+    """w_i(t) = dtilde * I(y <= t)/S_c(y-) + I(y > t)/S_c(t); one row per
+    time for a vector of times."""
     y = np.asarray(y, dtype=float)
-    dtilde = np.asarray(dtilde)
+    t = np.asarray(t, dtype=float)
     sc_left = np.asarray(s_c.left_value(y))
-    sc_t = float(s_c(t))
-    w = np.zeros(y.size)
-    past = y <= t
+    sc_t = np.asarray(s_c(t))
     with np.errstate(divide="ignore"):
-        w[past] = np.where(
-            (dtilde[past] == 1) & (sc_left[past] > 0),
-            1.0 / np.maximum(sc_left[past], 1e-300),
+        w_past = np.where(
+            (np.asarray(dtilde) == 1) & (sc_left > 0),
+            1.0 / np.maximum(sc_left, 1e-300),
             0.0,
         )
-        if sc_t > 0:
-            w[~past] = 1.0 / sc_t
-    return w
+        w_ahead = np.where(sc_t > 0, 1.0 / sc_t, 0.0)
+    return np.where(y <= t[..., None], w_past, w_ahead[..., None])
 
 
 def point_errors(
@@ -75,7 +85,7 @@ def point_errors(
     dtilde=None,
     s_c=None,
 ):
-    """(MSPE, QPE) against restricted death times.
+    """(MSPE, QPE) against restricted death times, one per method row.
 
     With latent truths available the errors are plain means; with censored
     observations only, inverse-censoring weights make min(D, t*) estimable
@@ -99,43 +109,44 @@ def point_errors(
     ok = w > 0
     if not np.any(ok):
         raise EstimationError("metrics", "all subjects carry zero weight")
-    wsum = w[ok].sum()
-    mspe = float(np.sum(w[ok] * (truth[ok] - cmst_values[ok]) ** 2) / wsum)
-    qpe = float(
-        np.sum(w[ok] * _check_loss(truth[ok] - cqst_values[ok], config.qpe_tau))
-        / wsum
-    )
-    return mspe, qpe, dropped
+    w, truth = w[ok], truth[ok]
+    wsum = w.sum()
+    # compress, unlike a boolean index on the last axis, returns C order
+    cmst_values = np.compress(ok, cmst_values, axis=-1)
+    cqst_values = np.compress(ok, cqst_values, axis=-1)
+    mspe = np.sum(w * (truth - cmst_values) ** 2, axis=-1) / wsum
+    qpe = np.sum(w * _check_loss(truth - cqst_values, config.qpe_tau), axis=-1) / wsum
+    return mspe.tolist(), qpe.tolist(), dropped
 
 
 def brier_curve(curves, times, y, dtilde, landmarks, s_c):
     """BS(t) over the grid: censoring-weighted squared error of the
-    predicted curves against survival status, restricted to t past each
-    subject's landmark.  Normalization is by the full subject count."""
+    predicted curves (subjects x grid, one such matrix per method) against
+    survival status, restricted to t past each subject's landmark.
+    Normalization is by the full subject count."""
     curves = np.asarray(curves, dtype=float)
     times = np.asarray(times, dtype=float)
     y = np.asarray(y, dtype=float)
     landmarks = np.asarray(landmarks, dtype=float)
-    n = y.size
-    out = np.zeros(times.size)
-    for j, t in enumerate(times):
-        w = ipcw_weights_at(y, dtilde, s_c, t)
-        active = times[j] > landmarks
-        resid = ((y > t).astype(float) - curves[:, j]) ** 2
-        out[j] = np.sum(w * active * resid) / n
+    w = ipcw_weights_at(y, dtilde, s_c, times) * (times[:, None] > landmarks)
+    alive = (y > times[:, None]).astype(float)
+    out = np.empty(curves.shape[:-2] + times.shape)
+    for j in range(times.size):
+        out[..., j] = np.sum(w[j] * (alive[j] - curves[..., j]) ** 2, axis=-1) / y.size
     return out
 
 
-def integrated_brier(bs_values, times, t_u_star=None) -> float:
-    """Time-averaged integral of the score curve (trapezoid)."""
+def integrated_brier(bs_values, times, t_u_star=None):
+    """Time-averaged integral of each score curve (trapezoid)."""
     times = np.asarray(times, dtype=float)
     if t_u_star is None:
         t_u_star = float(times[-1])
-    return float(np.trapezoid(bs_values, times) / t_u_star)
+    return (np.trapezoid(bs_values, times) / t_u_star).tolist()
 
 
-def auc_t(curves_at_t, y, dtilde, landmarks, s_c, t) -> float:
-    """Censoring-weighted time-dependent AUC; score ties count half."""
+def auc_t(curves_at_t, y, dtilde, landmarks, s_c, t):
+    """Censoring-weighted time-dependent AUC; score ties count half.  The
+    methods share the pair weights; only the win counts are taken per row."""
     s_vals = np.asarray(curves_at_t, dtype=float)
     y = np.asarray(y, dtype=float)
     landmarks = np.asarray(landmarks, dtype=float)
@@ -145,21 +156,29 @@ def auc_t(curves_at_t, y, dtilde, landmarks, s_c, t) -> float:
     if not case.any() or not ctrl.any():
         raise NoComparablePairs(f"no case/control pair at t={t}")
     wi = w[case][:, None] * w[ctrl][None, :]
-    si = s_vals[case][:, None]
-    sj = s_vals[ctrl][None, :]
-    wins = (si < sj) + 0.5 * (si == sj)
-    return float(np.sum(wi * wins) / np.sum(wi))
+    rows = np.atleast_2d(s_vals)
+    wins = [
+        np.sum(wi * ((si[:, None] < sj) + 0.5 * (si[:, None] == sj)))
+        for si, sj in zip(rows[:, case], rows[:, ctrl])
+    ]
+    return (np.reshape(wins, s_vals.shape[:-1]) / np.sum(wi)).tolist()
 
 
 def interval_metrics(truths, intervals):
     """(coverage, median width, flagged count) for prediction intervals,
-    given as a sequence or as one PredictionInterval of arrays."""
+    given as a sequence or as one PredictionInterval of arrays (one row per
+    method)."""
+    if isinstance(intervals, PredictionInterval) and np.ndim(intervals.lo) == 0:
+        intervals = [intervals]
     if not isinstance(intervals, PredictionInterval):
         rows = [(iv.lo, iv.hi, iv.hi_censored) for iv in intervals]
         intervals = PredictionInterval(*np.array(rows, dtype=float).T)
     cover = intervals.covers(np.asarray(truths, dtype=float))
-    flagged = int(np.sum(intervals.hi_censored))
-    return float(np.mean(cover)), float(np.median(intervals.width)), flagged
+    return (
+        np.mean(cover, axis=-1).tolist(),
+        np.median(intervals.width, axis=-1).tolist(),
+        np.sum(intervals.hi_censored, axis=-1).astype(int).tolist(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +252,7 @@ def evaluate_model(
         warnings.warn(
             f"restriction time capped at the maximum follow-up {t_star:.6g}"
         )
-    cfg = MetricConfig(t_star, config.qpe_tau, config.n_grid, config.ipcw)
+    cfg = replace(config, t_u_star=t_star)
     grid = cfg.grid()
 
     # score a subject only if every method's prediction is identified, so
@@ -259,47 +278,34 @@ def evaluate_model(
     if not usable:
         raise EstimationError("evaluate", "no subject has an identified prediction")
     idx = np.array(usable)
-    # (subjects, methods) summaries; a quantile out of reach scores as t*
-    cmsts = np.array(cmsts)
-    cqsts = np.nan_to_num(np.array(cqsts), nan=t_star)
-    lo, hi, censored = np.moveaxis(np.array(intervals), 1, 0)
-    curves = np.array(curves)  # (subjects, methods, grid)
+    y, dtilde = data.y[idx], data.dtilde[idx]
+    d_true = None if d_true is None else np.asarray(d_true)[idx]
+    # (methods, subjects, ...) results, one C-ordered row per method; a
+    # quantile out of reach scores as t*
+    cmsts = np.stack(cmsts, axis=1)
+    cqsts = np.nan_to_num(np.stack(cqsts, axis=1), nan=t_star)
+    intervals = PredictionInterval(*(np.stack(col, axis=1) for col in zip(*intervals)))
+    curves = np.stack(curves, axis=1)
 
-    reports = {}
-    for j, method in enumerate(methods):
-        mspe, qpe, _ = point_errors(
-            cmsts[:, j],
-            cqsts[:, j],
-            cfg,
-            d_true=None if d_true is None else np.asarray(d_true)[idx],
-            y=data.y[idx],
-            dtilde=data.dtilde[idx],
-            s_c=s_c,
-        )
-        bs = brier_curve(
-            curves[:, j], grid, data.y[idx], data.dtilde[idx], landmarks, s_c
-        )
-        auc = np.full(grid.size, np.nan)
-        for g, t in enumerate(grid):
-            try:
-                auc[g] = auc_t(
-                    curves[:, j, g], data.y[idx], data.dtilde[idx], landmarks, s_c, t
-                )
-            except NoComparablePairs:
-                pass
-        truth = (
-            np.minimum(np.asarray(d_true)[idx], t_star)
-            if d_true is not None
-            else np.minimum(data.y[idx], t_star)
-        )
-        cp, mid, flagged = interval_metrics(
-            truth, PredictionInterval(lo[:, j], hi[:, j], censored[:, j])
-        )
-        reports[method] = MethodReport(
-            method=method, mspe=mspe, qpe=qpe,
-            ibs=integrated_brier(bs, grid, t_star), bs_curve=bs, auc_curve=auc,
-            cp=cp, mid=mid, n_flagged=flagged, n_skipped=n_skipped,
-        )
+    mspe, qpe, _ = point_errors(
+        cmsts, cqsts, cfg, d_true=d_true, y=y, dtilde=dtilde, s_c=s_c
+    )
+    bs = brier_curve(curves, grid, y, dtilde, landmarks, s_c)
+    auc = np.full(bs.shape, np.nan)
+    for g, t in enumerate(grid):
+        try:
+            auc[:, g] = auc_t(curves[..., g], y, dtilde, landmarks, s_c, t)
+        except NoComparablePairs:
+            pass
+    truth = np.minimum(y if d_true is None else d_true, t_star)
+    cp, mid, flagged = interval_metrics(truth, intervals)
+    ibs = integrated_brier(bs, grid, t_star)
+    # in MethodReport's field order
+    columns = zip(methods, mspe, qpe, ibs, bs, auc, cp, mid, flagged)
+    reports = {
+        name: MethodReport(name, *scores, n_skipped=n_skipped)
+        for name, *scores in columns
+    }
     if "DP" in reports:
         bench = reports["DP"]
         for rep in reports.values():
@@ -359,8 +365,7 @@ def _cv_worker(split_idx, data, family, splits_spec, config, seed, fit_kw, metho
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         model = fit_joint_model(train, family, **fit_kw)
-        cfg = MetricConfig(config.t_u_star, config.qpe_tau, config.n_grid, True)
-        reports = evaluate_model(model, test, cfg, methods=methods)
+        reports = evaluate_model(model, test, replace(config, ipcw=True), methods=methods)
     return {m: (r.mspe, r.qpe, r.ibs, r.cp, r.mid) for m, r in reports.items()}
 
 

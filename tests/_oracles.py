@@ -143,3 +143,40 @@ def reference_self_consistent(k, data, theta_hat, s_d, family):
     else:
         warnings.warn("reference self-consistency did not converge", RuntimeWarning)
     return StepSurvival(grid, s, t_max=data.t_max), it
+
+
+# ---------------------------------------------------------------------------
+# Censoring weights and the Brier curve written one time point at a time,
+# one method per call: the package computes the weights as one row per time
+# and scores every method's row at once, and must reproduce these bit for bit.
+
+
+def reference_ipcw_weights_at(y, dtilde, s_c, t):
+    y = np.asarray(y, dtype=float)
+    dtilde = np.asarray(dtilde)
+    sc_left = np.asarray(s_c.left_value(y))
+    sc_t = float(s_c(t))
+    w = np.zeros(y.size)
+    past = y <= t
+    with np.errstate(divide="ignore"):
+        w[past] = np.where(
+            (dtilde[past] == 1) & (sc_left[past] > 0),
+            1.0 / np.maximum(sc_left[past], 1e-300),
+            0.0,
+        )
+        if sc_t > 0:
+            w[~past] = 1.0 / sc_t
+    return w
+
+
+def reference_brier_curve(curves, times, y, dtilde, landmarks, s_c):
+    curves = np.asarray(curves, dtype=float)
+    y = np.asarray(y, dtype=float)
+    landmarks = np.asarray(landmarks, dtype=float)
+    out = np.zeros(times.size)
+    for j, t in enumerate(times):
+        w = reference_ipcw_weights_at(y, dtilde, s_c, t)
+        active = times[j] > landmarks
+        resid = ((y > t).astype(float) - curves[:, j]) ** 2
+        out[j] = np.sum(w * active * resid) / y.size
+    return out

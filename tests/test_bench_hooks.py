@@ -2,12 +2,15 @@
 hooks must exist, and uninstalling must restore the originals."""
 
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from archsurv import predict
+from archsurv import metrics, predict
+from archsurv.likelihood import fit_joint_model
 from archsurv.predict import PredictionQuery
+from archsurv.simulate import ex1_config, simulate_dataset
 from tests.test_predict import injected_model
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -51,3 +54,34 @@ def test_tracer_installs_and_uninstalls_against_archsurv():
         tracer.uninstall()
     for owner, attr, original in patches:
         assert _lookup(owner, attr) is original
+
+
+def test_evaluate_model_scores_through_the_traced_names():
+    # metrics.evaluate.score_s sums the metrics.score.* spans under
+    # evaluate_model: each score is one call per pass, auc_t one per grid time
+    tracing = _tracing_module()
+    res = simulate_dataset(ex1_config(k=3, n_train=60, n_test=0, seed=2))
+    tracer = tracing.Tracer()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_joint_model(res.train, "frank")
+        try:
+            tracer.install()
+            with tracer.phase("test"):
+                metrics.evaluate_model(
+                    model, res.train, metrics.MetricConfig(n_grid=7),
+                    d_true=res.latent_train.d,
+                )
+        finally:
+            tracer.uninstall()
+    spans = tracer.spans
+    under_evaluate = [
+        s[0] for s in spans if s[3] >= 0 and spans[s[3]][0] == "metrics.evaluate_model"
+    ]
+    for name, calls in [("point_errors", 1), ("brier_curve", 1), ("auc_t", 7)]:
+        assert under_evaluate.count(f"metrics.score.{name}") == calls
+    counts = dict.fromkeys(
+        ("sweeps", "alive_records", "subset_terms", "not_identified", "subjects_skipped"), 0
+    )
+    score_s, _ = tracing.summarize(spans, 1, counts)["metrics.evaluate.score_s"]
+    assert score_s > 0

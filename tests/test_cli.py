@@ -263,6 +263,86 @@ def test_evaluate_flow(workdir, tmp_path):
     assert header == "method,t,bs,auc"
 
 
+def test_evaluate_reports_the_capped_restriction_time(workdir, tmp_path):
+    # a restriction time past the follow-up end is capped for the scores,
+    # and the report and the curve grid say so
+    tmp, _ = workdir
+    t_max = json.loads((tmp / "model.json").read_text())["t_max"]
+    docs, grids = [], []
+    for t_u_star in (1000.0, t_max):
+        cfg = write_cfg(tmp_path / "run.cfg", f"metrics.t_u_star = {t_u_star!r}\n")
+        out, curves = tmp_path / "report.json", tmp_path / "curves.csv"
+        assert run_cli(
+            ["evaluate", "--model", tmp / "model.json", "--data", tmp / "test.csv",
+             "--latent", tmp / "latent_test.csv", "--config", cfg,
+             "--out", out, "--curves-out", curves]
+        ) == 0
+        docs.append(json.loads(out.read_text()))
+        grids.append(curves.read_text().splitlines()[2:])
+    assert docs[0]["t_u_star"] == t_max
+    assert docs[0]["methods"] == docs[1]["methods"]
+    assert grids[0] == grids[1]
+    assert float(grids[0][-1].split(",")[1]) == t_max
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "metrics.grid_points = 0",
+        "metrics.qpe_tau = 1.5",
+        "metrics.qpe_tau = 0",
+        "metrics.t_u_star = 0",
+        "metrics.t_u_star = -2",
+    ],
+)
+@pytest.mark.parametrize("command", ["evaluate", "crossval"])
+def test_bad_metrics_values_exit_2(workdir, tmp_path, line, command):
+    tmp, _ = workdir
+    cfg = write_cfg(tmp_path / "run.cfg", line + "\n")
+    inputs = (
+        ["--model", tmp / "model.json", "--data", tmp / "test.csv"]
+        if command == "evaluate"
+        else ["--data", tmp / "train.csv", "--threads", 1]
+    )
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *inputs, "--config", cfg, "--out", tmp_path / "out.json"])
+    assert exc.value.code == 2
+
+
+def test_fit_and_crossval_fit_with_the_same_keywords(workdir, tmp_path, monkeypatch):
+    # crossval fits each split with the optimizer and weight settings fit uses
+    import archsurv.cli as cli
+
+    class Recorded(Exception):
+        pass
+
+    seen = {}
+
+    def recorder(name, own=()):
+        def record(*args, **kwargs):
+            seen[name] = {k: v for k, v in kwargs.items() if k not in own}
+            raise Recorded
+        return record
+
+    monkeypatch.setattr(cli, "fit_joint_model", recorder("fit"))
+    monkeypatch.setattr(cli, "cross_validate", recorder("crossval", own=(
+        "scheme", "folds", "test_fraction", "repeats", "config", "seed", "threads",
+    )))
+    tmp, _ = workdir
+    cfg = write_cfg(
+        tmp_path / "run.cfg",
+        "optimizer.tau_min = 0.05\noptimizer.tau_max = 0.8\n"
+        "optimizer.tau_tol = 0.001\nweights.kind = dampened\n",
+    )
+    for command in ("fit", "crossval"):
+        with pytest.raises(Recorded):
+            run_cli([command, "--data", tmp / "train.csv", "--config", cfg,
+                     "--out", tmp_path / "out.json", "--threads", 1])
+    assert seen["fit"]["tau_bounds"] == (0.05, 0.8)
+    assert seen["fit"]["tau_tol"] == 0.001
+    assert seen["crossval"] == seen["fit"]
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -16,13 +16,15 @@ from archsurv.metrics import (
     evaluate_model,
     integrated_brier,
     interval_metrics,
+    ipcw_weights_at,
     point_errors,
     stratified_indices,
     subject_query,
 )
 from archsurv.predict import PredictionInterval
 from archsurv.simulate import ex1_config, ex2_config, simulate_dataset
-from archsurv.survival import StepSurvival
+from archsurv.survival import StepSurvival, kaplan_meier
+from tests._oracles import reference_brier_curve, reference_ipcw_weights_at
 
 FLAT_SC = StepSurvival([1e12], [1.0], t_max=1e12)  # no censoring
 
@@ -142,6 +144,92 @@ def test_interval_metrics_hand_cases():
     ivs2 = [PredictionInterval(1.0, 2.0, hi_censored=True)]
     cp2, mid2, flagged2 = interval_metrics([5.0], ivs2)
     assert cp2 == 0.0 and flagged2 == 1
+    # one interval of floats, as prediction_interval returns for one curve
+    assert interval_metrics(2.0, PredictionInterval(1.0, 3.0, True)) == (1.0, 2.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# one row per method: every score equals its one-method calls bit for bit
+
+
+def _scoring_case(n_methods=4, n=120, n_grid=25, seed=11):
+    """Censored outcomes with tied times, a censoring curve that drops to 0,
+    and (methods, subjects, grid) curves rounded so that scores tie."""
+    rng = np.random.default_rng(seed)
+    y = np.round(rng.exponential(3.0, n), 1) + 0.1
+    dtilde = (rng.uniform(size=n) < 0.65).astype(int)
+    dtilde[np.argmax(y)] = 0  # the censoring KM ends at 0
+    s_c = kaplan_meier(y, 1 - dtilde)
+    landmarks = np.where(rng.uniform(size=n) < 0.5, 0.0, np.round(rng.uniform(0, 2, n), 1))
+    # the first time has no case, the last no control
+    times = np.concatenate([[0.05], np.linspace(0.5, 8.0, n_grid - 2), [y.max() + 1]])
+    curves = np.stack(
+        [np.round(rng.uniform(size=(n_methods, n_grid)), 1) for _ in range(n)], axis=1
+    )
+    return y, dtilde, s_c, landmarks, times, curves
+
+
+def test_ipcw_weight_rows_equal_per_time_calls():
+    y, dtilde, s_c, _, times, _ = _scoring_case()
+    times = np.concatenate([times, s_c.times[:5], y[:5], [0.0, s_c.times[-1]]])
+    rows = ipcw_weights_at(y, dtilde, s_c, times)
+    assert rows.shape == (times.size, y.size)
+    for t, row in zip(times, rows):
+        assert np.array_equal(row, reference_ipcw_weights_at(y, dtilde, s_c, t))
+        assert np.array_equal(row, ipcw_weights_at(y, dtilde, s_c, t))
+    assert not rows[-1][y > s_c.times[-1]].any()  # S_c(t) = 0 past the last jump
+
+
+@pytest.mark.parametrize("ipcw", [False, True])
+def test_scores_over_methods_equal_stacked_one_method_calls(ipcw):
+    y, dtilde, s_c, landmarks, times, curves = _scoring_case()
+    m = curves.shape[0]
+    rng = np.random.default_rng(5)
+    cmsts = np.round(rng.uniform(0, 6, (m, y.size)), 1)
+    cqsts = np.round(rng.uniform(0, 6, (m, y.size)), 1)
+    d_true = y + rng.exponential(size=y.size) * (1 - dtilde)
+    cfg = MetricConfig(t_u_star=5.0, qpe_tau=0.3, ipcw=ipcw)
+    kw = dict(d_true=d_true, y=y, dtilde=dtilde, s_c=s_c)
+    mspe, qpe, dropped = point_errors(cmsts, cqsts, cfg, **kw)
+    rows = [point_errors(cmsts[j], cqsts[j], cfg, **kw) for j in range(m)]
+    assert all(type(r[0]) is float and type(r[1]) is float for r in rows)
+    assert np.array_equal(mspe, [r[0] for r in rows])
+    assert np.array_equal(qpe, [r[1] for r in rows])
+    assert all(r[2] == dropped for r in rows) and (dropped > 0) == ipcw
+
+    bs = brier_curve(curves, times, y, dtilde, landmarks, s_c)
+    for j in range(m):
+        assert np.array_equal(bs[j], brier_curve(curves[j], times, y, dtilde, landmarks, s_c))
+        assert np.array_equal(
+            bs[j], reference_brier_curve(curves[j], times, y, dtilde, landmarks, s_c)
+        )
+    ibs = integrated_brier(bs, times, 8.0)
+    assert np.array_equal(ibs, [integrated_brier(b, times, 8.0) for b in bs])
+
+    no_pairs = 0
+    for g, t in enumerate(times):
+        try:
+            auc = auc_t(curves[..., g], y, dtilde, landmarks, s_c, t)
+        except NoComparablePairs:
+            no_pairs += 1
+            for j in range(m):
+                with pytest.raises(NoComparablePairs):
+                    auc_t(curves[j, :, g], y, dtilde, landmarks, s_c, t)
+            continue
+        assert np.array_equal(
+            auc, [auc_t(curves[j, :, g], y, dtilde, landmarks, s_c, t) for j in range(m)]
+        )
+    assert no_pairs == 2
+
+    lo = np.round(rng.uniform(0, 3, (m, y.size)), 1)
+    hi = lo + np.round(rng.uniform(0, 3, (m, y.size)), 1)
+    censored = rng.uniform(size=(m, y.size)) < 0.2
+    cp, mid, flagged = interval_metrics(y, PredictionInterval(lo, hi, censored))
+    rows = [interval_metrics(y, PredictionInterval(lo[j], hi[j], censored[j])) for j in range(m)]
+    assert np.array_equal(cp, [r[0] for r in rows])
+    assert np.array_equal(mid, [r[1] for r in rows])
+    assert flagged == [r[2] for r in rows]
+    assert all(type(r[2]) is int for r in rows)
 
 
 # ---------------------------------------------------------------------------
