@@ -115,13 +115,15 @@ def cmd_fit(args):
     except ConfigError as exc:
         _fail(2, str(exc))
     fit_kw = _fit_kwargs(cfg)
+    # a bare --bootstrap (None) takes bootstrap.b replicates
+    b = cfg["bootstrap.b"] if args.bootstrap is None else args.bootstrap
+    if b and b < 2:
+        raise ConfigError(f"bootstrap needs at least 2 replicates, got {b}")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fit = fit_joint_model(data, cfg["family"], **fit_kw)
             boot = None
-            # a bare --bootstrap (const -1) takes bootstrap.b replicates
-            b = cfg["bootstrap.b"] if args.bootstrap == -1 else args.bootstrap
             if b:
                 boot = bootstrap_fit(
                     data,
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--config")
     fp.add_argument("--out", required=True, help="model JSON path")
     fp.add_argument(
-        "--bootstrap", type=int, nargs="?", const=-1, metavar="B",
+        "--bootstrap", type=int, nargs="?", default=0, metavar="B",
         help="percentile CIs from B replicates (bare: bootstrap.b)",
     )
     fp.add_argument("--seed", type=int, help="bootstrap seed")

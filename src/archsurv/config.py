@@ -149,14 +149,9 @@ class RunConfig:
         )
         example = s["sim.example"]
         try:
-            if example == "ex1":
-                return ex1_config(
-                    k=s["sim.k"], tau_alpha=s["sim.tau_alpha"],
-                    censor_upper=s["sim.censor_upper"], n_train=s["sim.n_train"],
-                    rate_terminal=s["sim.rate_terminal"], **common,
-                )
-            if example == "ex2":
-                return ex2_config(
+            build = {"ex1": ex1_config, "ex2": ex2_config}.get(example)
+            if build is not None:
+                return build(
                     k=s["sim.k"], tau_alpha=s["sim.tau_alpha"],
                     censor_upper=s["sim.censor_upper"], n_train=s["sim.n_train"],
                     rate_terminal=s["sim.rate_terminal"], **common,

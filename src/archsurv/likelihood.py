@@ -29,7 +29,7 @@ from scipy import optimize
 
 from .copulas import U_FLOOR, ArchimedeanCopula, theta_from_tau
 from .data import SurvivalData
-from .errors import EstimationError
+from .errors import ConfigError, EstimationError
 from .marginals import (
     PairwiseAssociation,
     WeightSpec,
@@ -364,13 +364,9 @@ def fit_joint_model(
     except Exception as exc:
         raise EstimationError("km", str(exc)) from exc
 
-    # the pair tables go when the fit returns: freed one by one, their pages go back to
-    # the system and the next onset's pair-table build faults them in again (cohort
-    # fit: 21.7k minor faults instead of 10.4k, fit time +15%)
-    thetas, marginals, roots = [], [], []
+    thetas, marginals = [], []
     for k in range(data.k):
         root = {}
-        roots.append(root)
         try:
             assoc = solve_theta(k, data, family, weight_spec, s_c=s_c, info=root)
         except Exception as exc:
@@ -453,7 +449,7 @@ def bootstrap_fit(
     counted; more than 20% failures aborts.
     """
     if b < 2:
-        raise EstimationError("bootstrap", "need at least 2 replicates")
+        raise ConfigError(f"bootstrap needs at least 2 replicates, got {b}")
     from functools import partial
 
     worker = partial(

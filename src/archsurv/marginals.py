@@ -82,13 +82,15 @@ def _suffix_counts(t, y):
 
 
 class _PairTable:
-    """Precomputed pair quantities for one event index.
+    """The concordance equation's sufficient statistic for one event index.
 
     A pair contributes when the smaller observed onset is an event and the
-    smaller observed terminal time is a death; tied pairs are dropped.  The
-    joint-survival argument s(x, y) is the censoring-weighted fraction of
-    subjects with T > x and Y > y.  The pair minima are data values, so
-    every count is one lookup in the rank-indexed table of `_suffix_counts`.
+    smaller observed terminal time is a death; tied pairs are dropped.  Its
+    joint-survival argument s(x, y) = #{T > x, Y > y} / (n S_c(y)) at the
+    pair minima is one lookup in the table of `_suffix_counts` over one of
+    few S_c levels, so the pairs reduce to their (count, level) keys: per
+    key s, the weight sum `w` and concordant weight sum `wc`.  `pairs`
+    counts the usable pairs.
     """
 
     def __init__(self, k, data, s_c, weight_spec):
@@ -110,18 +112,10 @@ class _PairTable:
         rx_pair = np.minimum(rt_i, rt_j)[usable]  # ranks of the pair minima
         ry_pair = np.minimum(ry_i, ry_j)[usable]
         conc = ((rt_i < rt_j) == (ry_i < ry_j))[usable]
-
-        # s(x, y): IPCW-adjusted joint survival at the pair minima
-        count = table[rx_pair + 1, ry_pair + 1]
-        sc_y = np.asarray(s_c(uy), dtype=float)[ry_pair]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_val = count / (n * sc_y)
-        ok = sc_y > 0
-        self.s = np.clip(s_val[ok], 1e-10, 1.0)
-        self.conc = conc[ok].astype(float)
+        del iu, ju, rt_i, rt_j, ry_i, ry_j, no_tie, d_min, dt_min, usable  # peak memory
 
         if weight_spec.kind == "unit":
-            self.w = np.ones(self.s.size)
+            w_pair = None
         elif weight_spec.kind == "dampened":
             a = weight_spec.a if weight_spec.a is not None else np.quantile(t, 0.9)
             b = weight_spec.b if weight_spec.b is not None else np.quantile(y, 0.9)
@@ -129,16 +123,29 @@ class _PairTable:
             # minimum is the minimum of the rows
             ra = np.searchsorted(ut, a, "left")
             rb = np.searchsorted(uy, b, "left")
-            inv = table[np.minimum(ra, rx_pair[ok]), np.minimum(rb, ry_pair[ok])] / n
-            self.w = np.where(inv > 0, 1.0 / np.maximum(inv, 1e-12), 0.0)
+            inv = table[np.minimum(ra, rx_pair), np.minimum(rb, ry_pair)] / n
+            w_pair = np.where(inv > 0, 1.0 / np.maximum(inv, 1e-12), 0.0)
         else:
             raise ValueError(f"unknown weight kind {weight_spec.kind!r}")
+
+        # key = count * L + level of S_c(y) at the pair minima
+        levels, level = np.unique(np.asarray(s_c(uy), dtype=float), return_inverse=True)
+        L = levels.size
+        key = table[rx_pair + 1, ry_pair + 1] * np.int64(L) + level[ry_pair]
+        per_key = np.bincount(key)
+        w = per_key if w_pair is None else np.bincount(key, w_pair, per_key.size)
+        wc = np.bincount(key, conc if w_pair is None else w_pair * conc, per_key.size)
+        keys = np.flatnonzero(per_key)
+        keys = keys[levels[keys % L] > 0]
+        # s(x, y): IPCW-adjusted joint survival at the pair minima
+        self.s = np.clip(keys // L / (n * levels[keys % L]), 1e-10, 1.0)
+        self.w, self.wc = w[keys].astype(float), wc[keys]
+        self.pairs = int(per_key[keys].sum())
 
     def score(self, cop: ArchimedeanCopula) -> float:
         """U(theta): weighted mean of concordance minus its model probability."""
         gamma = np.asarray(cop.cross_ratio(self.s))
-        p_conc = gamma / (gamma + 1.0)
-        return float(np.sum(self.w * (self.conc - p_conc)) / self.w.sum())
+        return float(np.sum(self.wc - self.w * (gamma / (gamma + 1.0))) / self.w.sum())
 
 
 def solve_theta(
@@ -155,13 +162,12 @@ def solve_theta(
     below independence: the lower end is returned, with a warning.  If
     `info` is a dict it receives the number of usable pairs (`pairs`),
     brentq's function evaluations (`evals`, not counting the two bracket
-    checks before it), whether the lower end was returned (`boundary`) and
-    the pair table itself (`table`), so the caller decides when it is freed.
+    checks before it) and whether the lower end was returned (`boundary`).
     """
     if s_c is None:
         s_c = censoring_km(data)
     table = _PairTable(k, data, s_c, weight_spec)
-    if table.s.size == 0:
+    if table.pairs == 0:
         raise NoComparablePairs(f"event {k}: no comparable pairs")
 
     def f(tau):
@@ -185,8 +191,7 @@ def solve_theta(
         tau_hat, root = optimize.brentq(f, lo, hi, xtol=1e-6, full_output=True)
         evals = root.function_calls
     if info is not None:
-        info.update(pairs=int(table.s.size), evals=int(evals), boundary=boundary, table=table)
-    del table  # brentq keeps `f` in a reference cycle, which must not hold the table
+        info.update(pairs=table.pairs, evals=int(evals), boundary=boundary)
     theta_hat = theta_from_tau(family, float(tau_hat))
     return PairwiseAssociation(k, theta_hat, tau_from_theta(family, theta_hat), weight_spec)
 

@@ -1,11 +1,12 @@
 """Helpers that several test modules share and the package does not need."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
 from archsurv.copulas import ArchimedeanCopula, _clamp_unit, theta_from_tau
-from archsurv.marginals import SC_MAX_SWEEPS, SC_TOL
+from archsurv.marginals import SC_MAX_SWEEPS, SC_TOL, _suffix_counts
 from archsurv.survival import StepSurvival, kaplan_meier
 
 
@@ -143,6 +144,54 @@ def reference_self_consistent(k, data, theta_hat, s_d, family):
     else:
         warnings.warn("reference self-consistency did not converge", RuntimeWarning)
     return StepSurvival(grid, s, t_max=data.t_max), it
+
+
+# ---------------------------------------------------------------------------
+# The concordance equation with every usable pair kept: O(n^2) memory, the
+# reference at benchmark sizes for the package's per-key reduction (the
+# dense O(n^3) counter in test_marginals.py checks it at small n).
+
+
+def reference_pair_table(k, data, s_c, weight_spec):
+    """Per-pair ``s``, ``conc`` and ``w`` of the concordance equation, the
+    usable-pair total ``pairs`` and ``score(cop)``: the interface
+    `solve_theta` reads, so θ can be solved through it."""
+    t, d = data.t[:, k], data.delta[:, k].astype(bool)
+    y, dt, n = data.y, data.dtilde.astype(bool), data.n
+    ut, uy, rt, ry, table = _suffix_counts(t, y)
+    iu, ju = np.triu_indices(n, k=1)
+    rt_i, rt_j = rt[iu], rt[ju]
+    ry_i, ry_j = ry[iu], ry[ju]
+    usable = (
+        (rt_i != rt_j) & (ry_i != ry_j)
+        & np.where(rt_i < rt_j, d[iu], d[ju])
+        & np.where(ry_i < ry_j, dt[iu], dt[ju])
+    )
+    rx_pair = np.minimum(rt_i, rt_j)[usable]
+    ry_pair = np.minimum(ry_i, ry_j)[usable]
+    conc = ((rt_i < rt_j) == (ry_i < ry_j))[usable]
+    count = table[rx_pair + 1, ry_pair + 1]
+    sc_y = np.asarray(s_c(uy), dtype=float)[ry_pair]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_val = count / (n * sc_y)
+    ok = sc_y > 0
+    s = np.clip(s_val[ok], 1e-10, 1.0)
+    conc = conc[ok].astype(float)
+    if weight_spec.kind == "unit":
+        w = np.ones(s.size)
+    else:
+        a = weight_spec.a if weight_spec.a is not None else np.quantile(t, 0.9)
+        b = weight_spec.b if weight_spec.b is not None else np.quantile(y, 0.9)
+        ra = np.searchsorted(ut, a, "left")
+        rb = np.searchsorted(uy, b, "left")
+        inv = table[np.minimum(ra, rx_pair[ok]), np.minimum(rb, ry_pair[ok])] / n
+        w = np.where(inv > 0, 1.0 / np.maximum(inv, 1e-12), 0.0)
+
+    def score(cop):
+        gamma = np.asarray(cop.cross_ratio(s))
+        return float(np.sum(w * (conc - gamma / (gamma + 1.0))) / w.sum())
+
+    return SimpleNamespace(s=s, conc=conc, w=w, pairs=s.size, score=score)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from archsurv.dataio import (
 )
 from archsurv.errors import ConfigError
 from archsurv.predict import PredictionQuery
+from archsurv.simulate import SimConfig, ex1_config, ex2_config, ex3_config
 from tests._cli import run_cli_subprocess
 
 
@@ -98,6 +99,39 @@ def test_config_unknown_key_rejected(tmp_path):
         RunConfig.parse("family = frank\nnot.a.key = 3\n")
 
 
+_SIM_SETTINGS = """
+family = clayton
+sim.k = 2
+sim.tau_alpha = 0.3
+sim.tau_thetas = 0.3, 0.6
+sim.tau_lower = 0.4
+sim.rate_intermediate = 1.5
+sim.rate_terminal = 0.8
+sim.censor_upper = 9
+sim.n_train = 40
+sim.n_test = 7
+sim.seed = 3
+"""
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "custom"])
+def test_sim_config_equals_the_direct_builder_call(example):
+    cfg = RunConfig.parse(_SIM_SETTINGS + f"sim.example = {example}\n")
+    common = dict(family="clayton", rate_intermediate=1.5, n_test=7, seed=3)
+    sized = dict(
+        k=2, tau_alpha=0.3, censor_upper=9.0, n_train=40, rate_terminal=0.8, **common
+    )
+    if example == "ex1":
+        expected = ex1_config(**sized)
+    elif example == "ex2":
+        expected = ex2_config(**sized)
+    elif example == "ex3":
+        expected = ex3_config(tau_alpha=0.3, tau_lower=0.4, n_train=40, **common)
+    else:
+        expected = SimConfig(tau_thetas=(0.3, 0.6), tau_lower=0.4, **sized)
+    assert cfg.sim_config() == expected
+
+
 def test_data_roundtrip_idempotent(workdir, tmp_path):
     tmp, _ = workdir
     data = read_data_csv(tmp / "train.csv")
@@ -141,6 +175,34 @@ def test_fit_bare_bootstrap_uses_config_replicates(workdir, tmp_path):
         )
         counts.append(json.loads(out.read_text())["bootstrap"]["b"])
     assert counts == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "flag, settings",
+    [
+        (["--bootstrap", 1], ""),
+        (["--bootstrap", -5], ""),
+        (["--bootstrap", -1], "bootstrap.b = 3\n"),  # not read as a bare flag
+        (["--bootstrap"], "bootstrap.b = 1\n"),
+    ],
+    ids=["one", "negative", "minus-one", "bare-config-one"],
+)
+def test_fit_invalid_bootstrap_count_exits_2_before_fitting(
+    workdir, tmp_path, monkeypatch, flag, settings
+):
+    tmp, _ = workdir
+    cfg = write_cfg(tmp_path / "boot.cfg", SMALL_SIM + settings)
+    out = tmp_path / "boot.json"
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the point fit ran")
+
+    monkeypatch.setattr("archsurv.cli.fit_joint_model", no_fit)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["fit", "--data", tmp / "train.csv", "--config", cfg, "--out", out,
+                 *flag, "--threads", 1])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_predict_flow_and_m0_equals_p0(workdir, tmp_path):

@@ -10,7 +10,7 @@ from scipy import integrate
 
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
 from archsurv.data import SurvivalData
-from archsurv.errors import EstimationError
+from archsurv.errors import ConfigError, EstimationError
 from archsurv.likelihood import (
     FittedJointModel,
     LikelihoodWorkspace,
@@ -541,6 +541,9 @@ def test_bootstrap_percentile_interval_basic():
     lo, hi = out["tau_alpha_ci"]
     assert 0.0 < lo < hi < 1.0
     assert out["tau_alpha_draws"].size == 8
+    for b in (1, 0, -5):  # a count below 2 is a config error, not an estimation one
+        with pytest.raises(ConfigError, match="at least 2 replicates"):
+            bootstrap_fit(data, "frank", b=b)
 
 
 def test_aic_definition():

@@ -1,8 +1,7 @@
 """Stage-one estimators: concordance equation, self-consistency, conditional
 survival."""
 
-import gc
-import weakref
+import warnings
 
 import numpy as np
 import pytest
@@ -30,9 +29,13 @@ from archsurv.marginals import (
     terminal_km,
 )
 from archsurv.predict import PredictionQuery, q_joint_density
-from archsurv.simulate import SimConfig, ex1_config, simulate_dataset
+from archsurv.simulate import SimConfig, ex1_config, ex3_config, simulate_dataset
 from archsurv.survival import StepSurvival, kaplan_meier
-from tests._oracles import copula_from_tau, reference_self_consistent
+from tests._oracles import (
+    copula_from_tau,
+    reference_pair_table,
+    reference_self_consistent,
+)
 
 
 def _sim(config):
@@ -124,9 +127,70 @@ def test_pair_table_matches_dense_oracle(seed):
     for spec in specs:
         table = _PairTable(0, data, s_c, spec)
         s, conc, w = _dense_pair_table(0, data, s_c, spec)
-        assert np.array_equal(table.s, s)
-        assert np.array_equal(table.conc, conc)
-        assert np.array_equal(table.w, w)
+        # the statistic: weight per distinct s, and the pair and weight totals
+        us, w_by_s = _weight_by_s(table.s, table.w)
+        dense_us, dense_w_by_s = _weight_by_s(s, w)
+        assert np.array_equal(us, dense_us)
+        np.testing.assert_allclose(w_by_s, dense_w_by_s, rtol=1e-13)
+        assert table.pairs == s.size
+        assert table.w.sum() == pytest.approx(w.sum(), rel=1e-13)
+        assert table.wc.sum() == pytest.approx(np.sum(w * conc), rel=1e-13)
+        if s.size == 0:
+            continue
+        # unit-weight key sums are exact counts; np.bincount adds dampened
+        # weights in pair order, a few ulps from the pairwise np.sum here
+        tol = 1e-15 if spec.kind == "unit" else 4e-15
+        for tau in (0.05, 0.3, 0.6, 0.95):
+            cop = copula_from_tau("frank", tau)
+            gamma = cop.cross_ratio(s)
+            u = np.sum(w * (conc - gamma / (gamma + 1.0))) / w.sum()
+            assert abs(table.score(cop) - u) <= tol
+
+
+def _weight_by_s(s, w):
+    us, at = np.unique(s, return_inverse=True)
+    return us, np.bincount(at, w, us.size)
+
+
+def _solve_theta_both(monkeypatch, k, data, family, spec):
+    """tau-hat from the package's table and from the per-pair reference."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        est = solve_theta(k, data, family, weight_spec=spec)
+        with monkeypatch.context() as m:
+            m.setattr(marginals, "_PairTable", reference_pair_table)
+            ref = solve_theta(k, data, family, weight_spec=spec)
+    return est.tau_hat, ref.tau_hat
+
+
+# the training designs of the benchmark workloads (perfbench/workloads.py)
+_BENCHMARK_DESIGNS = {
+    "ex3-k7": ex3_config(tau_alpha=0.2, n_train=100, n_test=0, seed=0),
+    "cohort": ex1_config(
+        k=3, tau_alpha=0.2, censor_upper=200.0, n_train=800, n_test=0, seed=0
+    ),
+    "predict-eval": ex1_config(
+        k=3, tau_alpha=0.2, censor_upper=5.0, n_train=200, n_test=0, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("design", sorted(_BENCHMARK_DESIGNS))
+def test_reduced_theta_matches_per_pair_reference(monkeypatch, design):
+    data = _sim(_BENCHMARK_DESIGNS[design]).train
+    for family in ("frank", "clayton", "gumbel"):
+        for spec in (WeightSpec(), WeightSpec("dampened")):
+            for k in range(data.k):
+                tau, ref = _solve_theta_both(monkeypatch, k, data, family, spec)
+                assert abs(tau - ref) <= 1e-9, (family, spec.kind, k)
+
+
+def test_reduced_theta_matches_per_pair_reference_on_ties(monkeypatch):
+    data = _tied_data(np.random.default_rng(5), 2000)
+    for family in ("frank", "clayton", "gumbel"):
+        for spec in (WeightSpec(), WeightSpec("dampened")):
+            tau, ref = _solve_theta_both(monkeypatch, 0, data, family, spec)
+            assert abs(tau - ref) <= 1e-9, (family, spec.kind)
 
 
 @pytest.mark.parametrize("kind", ["unit", "dampened"])
@@ -159,7 +223,8 @@ def test_theta_counts_in_diagnostics():
     for k in range(data.k):
         info = {}
         solve_theta(k, data, "frank", s_c=s_c, info=info)
-        assert info["pairs"] == _PairTable(k, data, s_c, WeightSpec()).s.size > 0
+        assert info["pairs"] == _PairTable(k, data, s_c, WeightSpec()).pairs > 0
+        assert info["pairs"] == reference_pair_table(k, data, s_c, WeightSpec()).pairs
         assert info["evals"] > 0
         assert fit.diagnostics[f"theta_{k + 1}_pairs"] == info["pairs"]
         assert fit.diagnostics[f"theta_{k + 1}_evals"] == info["evals"]
@@ -256,24 +321,18 @@ def test_solve_theta_below_independence_returns_lower_end():
     assert info["boundary"] and info["evals"] == 0
 
 
-def test_solve_theta_frees_its_pair_table(monkeypatch):
-    # brentq holds the score function in a reference cycle; the pair table
-    # must not wait there for the next full garbage collection
-    made = []
-
-    class Tracked(marginals._PairTable):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(weakref.ref(self))
-
-    monkeypatch.setattr(marginals, "_PairTable", Tracked)
-    data = _sim(ex1_config(k=1, n_train=80, n_test=0, seed=2)).train
-    gc.disable()
-    try:
-        solve_theta(0, data, "frank")
-        assert len(made) == 1 and made[0]() is None
-    finally:
-        gc.enable()
+@pytest.mark.parametrize("kind", ["unit", "dampened"])
+def test_pair_table_keeps_no_per_pair_array(kind):
+    # the table keeps one entry per (count, censoring level) key, never one
+    # per pair: n = 300 with 1% censoring has about 38k usable pairs
+    data = _sim(ex1_config(k=1, censor_upper=200.0, n_train=300, n_test=0, seed=2)).train
+    s_c = censoring_km(data)
+    levels = np.unique(np.asarray(s_c(np.unique(data.y)), dtype=float)).size
+    table = _PairTable(0, data, s_c, WeightSpec(kind))
+    assert table.pairs > (data.n + 1) * levels
+    for name, value in vars(table).items():
+        if isinstance(value, np.ndarray):
+            assert value.size <= (data.n + 1) * levels, name
 
 
 def test_bootstrap_survives_replicate_below_independence():
