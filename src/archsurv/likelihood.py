@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import optimize
@@ -450,25 +451,13 @@ def bootstrap_fit(
     """
     if b < 2:
         raise ConfigError(f"bootstrap needs at least 2 replicates, got {b}")
-    from functools import partial
-
-    worker = partial(
-        _bootstrap_worker,
-        data=data,
-        family=family,
-        seed=seed,
-        fit_kw=fit_kw,
-    )
+    worker = partial(_bootstrap_worker, data=data, family=family, seed=seed, fit_kw=fit_kw)
     results = _run_indexed(worker, b, threads)
     ok = [r for r in results if not isinstance(r, Exception)]
     failures = b - len(ok)
     if failures > 0.2 * b:
-        raise EstimationError(
-            "bootstrap", f"{failures}/{b} replicates failed estimation"
-        )
-    tau_alpha_draws = np.array(
-        [r[0] for r in ok], dtype=float
-    )
+        raise EstimationError("bootstrap", f"{failures}/{b} replicates failed estimation")
+    tau_alpha_draws = np.array([r[0] for r in ok], dtype=float)
     theta_tau_draws = np.array([r[1] for r in ok], dtype=float)
     out = {
         "b": b,
@@ -492,23 +481,19 @@ def _bootstrap_worker(rep, data, family, seed, fit_kw):
 
 def _run_indexed(fn, count, threads):
     """Run fn(0..count-1), optionally in worker processes; order preserved,
-    so results do not depend on the degree of parallelism."""
-    results = [None] * count
+    so results do not depend on the degree of parallelism.  A call that
+    raises yields its exception."""
     if threads and threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = {pool.submit(fn, i): i for i in range(count)}
-            for fut in futs:
-                i = futs[fut]
-                try:
-                    results[i] = fut.result()
-                except Exception as exc:  # collected, not raised
-                    results[i] = exc
-        return results
-    for i in range(count):
-        try:
-            results[i] = fn(i)
-        except Exception as exc:
-            results[i] = exc
-    return results
+            calls = [pool.submit(fn, i).result for i in range(count)]
+            return [_caught(call) for call in calls]
+    return [_caught(partial(fn, i)) for i in range(count)]
+
+
+def _caught(call):
+    try:
+        return call()
+    except Exception as exc:  # collected, not raised
+        return exc

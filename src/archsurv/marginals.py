@@ -81,6 +81,17 @@ def _suffix_counts(t, y):
     return ut, uy, rt, ry, table
 
 
+def _key_sums(key, w, size):
+    """Per-key sums of w >= 0, rounded about once where `np.bincount` alone
+    rounds at every addition: scaled by 2**m, the whole parts of w sum
+    exactly (their total stays below 2**51) and only the fractions round."""
+    m = 51 - np.frexp(w.sum())[1]
+    frac = np.ldexp(w, m)
+    whole = np.floor(frac)
+    frac -= whole
+    return np.ldexp(np.bincount(key, whole, size) + np.bincount(key, frac, size), -m)
+
+
 class _PairTable:
     """The concordance equation's sufficient statistic for one event index.
 
@@ -114,27 +125,25 @@ class _PairTable:
         conc = ((rt_i < rt_j) == (ry_i < ry_j))[usable]
         del iu, ju, rt_i, rt_j, ry_i, ry_j, no_tie, d_min, dt_min, usable  # peak memory
 
-        if weight_spec.kind == "unit":
-            w_pair = None
-        elif weight_spec.kind == "dampened":
-            a = weight_spec.a if weight_spec.a is not None else np.quantile(t, 0.9)
-            b = weight_spec.b if weight_spec.b is not None else np.quantile(y, 0.9)
-            # non-strict counts at (min(a, x), min(b, y)): the row of a
-            # minimum is the minimum of the rows
-            ra = np.searchsorted(ut, a, "left")
-            rb = np.searchsorted(uy, b, "left")
-            inv = table[np.minimum(ra, rx_pair), np.minimum(rb, ry_pair)] / n
-            w_pair = np.where(inv > 0, 1.0 / np.maximum(inv, 1e-12), 0.0)
-        else:
-            raise ValueError(f"unknown weight kind {weight_spec.kind!r}")
-
         # key = count * L + level of S_c(y) at the pair minima
         levels, level = np.unique(np.asarray(s_c(uy), dtype=float), return_inverse=True)
         L = levels.size
         key = table[rx_pair + 1, ry_pair + 1] * np.int64(L) + level[ry_pair]
         per_key = np.bincount(key)
-        w = per_key if w_pair is None else np.bincount(key, w_pair, per_key.size)
-        wc = np.bincount(key, conc if w_pair is None else w_pair * conc, per_key.size)
+        if weight_spec.kind == "unit":
+            w, wc = per_key, np.bincount(key, conc, per_key.size)
+        elif weight_spec.kind == "dampened":
+            a = weight_spec.a if weight_spec.a is not None else np.quantile(t, 0.9)
+            b = weight_spec.b if weight_spec.b is not None else np.quantile(y, 0.9)
+            # non-strict counts at (min(a, x), min(b, y)): the row of a
+            # minimum is the minimum of the rows
+            ra, rb = np.searchsorted(ut, a, "left"), np.searchsorted(uy, b, "left")
+            inv = table[np.minimum(ra, rx_pair), np.minimum(rb, ry_pair)] / n
+            w_pair = np.where(inv > 0, 1.0 / np.maximum(inv, 1e-12), 0.0)
+            w = _key_sums(key, w_pair, per_key.size)
+            wc = _key_sums(key, w_pair * conc, per_key.size)
+        else:
+            raise ValueError(f"unknown weight kind {weight_spec.kind!r}")
         keys = np.flatnonzero(per_key)
         keys = keys[levels[keys % L] > 0]
         # s(x, y): IPCW-adjusted joint survival at the pair minima

@@ -137,14 +137,11 @@ def test_pair_table_matches_dense_oracle(seed):
         assert table.wc.sum() == pytest.approx(np.sum(w * conc), rel=1e-13)
         if s.size == 0:
             continue
-        # unit-weight key sums are exact counts; np.bincount adds dampened
-        # weights in pair order, a few ulps from the pairwise np.sum here
-        tol = 1e-15 if spec.kind == "unit" else 4e-15
         for tau in (0.05, 0.3, 0.6, 0.95):
             cop = copula_from_tau("frank", tau)
             gamma = cop.cross_ratio(s)
             u = np.sum(w * (conc - gamma / (gamma + 1.0))) / w.sum()
-            assert abs(table.score(cop) - u) <= tol
+            assert abs(table.score(cop) - u) <= 1e-15
 
 
 def _weight_by_s(s, w):
