@@ -170,6 +170,8 @@ def cmd_predict(args):
         ids, queries = read_query_csv(args.queries, k=model.k)
     except (ConfigError, OSError, KeyError, ValueError) as exc:
         _fail(2, str(exc))
+    if args.t_u_star is not None and not 0.0 < args.t_u_star < np.inf:
+        raise ConfigError(f"--t-u-star must be a positive finite time, got {args.t_u_star}")
     t_u_star = args.t_u_star if args.t_u_star is not None else model.t_max
     levels = _float_list(args.cqst_levels, "--cqst-levels")
     if not all(0.0 < lv < 1.0 for lv in levels):

@@ -7,9 +7,9 @@ grammar:
     mc.n                 accepted and ignored; recorded    (500)
     mc.seed              accepted and ignored; recorded    (20200)
     bootstrap.b          replicates for a bare --bootstrap (200)
-    optimizer.tau_min    lower search bound on tau         (0.01)
-    optimizer.tau_max    upper search bound on tau         (0.95)
-    optimizer.tau_tol    search tolerance on tau           (1e-4)
+    optimizer.tau_min    lower search bound on tau, > 0    (0.01)
+    optimizer.tau_max    upper search bound on tau, < 1    (0.95)
+    optimizer.tau_tol    search tolerance on tau, > 0      (1e-4)
     weights.kind         unit | dampened                   (unit)
     metrics.t_u_star     restriction time, > 0             (12.0)
     metrics.qpe_tau      check-loss quantile, in (0,1)     (0.5)
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 
 from .errors import ConfigError
+from .likelihood import check_tau_search
 from .simulate import SimConfig, ex1_config, ex2_config, ex3_config
 
 
@@ -107,6 +108,10 @@ class RunConfig:
                 raise ConfigError(
                     f"{key}: {self.items[key]!r} not one of {sorted(choices)}"
                 )
+        check_tau_search(
+            (self.items["optimizer.tau_min"], self.items["optimizer.tau_max"]),
+            self.items["optimizer.tau_tol"],
+        )
 
     def __getitem__(self, key):
         return self.items[key]

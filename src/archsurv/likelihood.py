@@ -317,6 +317,18 @@ class FittedJointModel:
             return cls.from_json(fh.read())
 
 
+def check_tau_search(tau_bounds, tau_tol):
+    """Raise ConfigError unless 0 < tau_min < tau_max < 1 and the tolerance
+    is finite and positive."""
+    lo, hi = tau_bounds
+    if not 0.0 < lo < hi < 1.0:
+        raise ConfigError(
+            f"tau search bounds must satisfy 0 < tau_min < tau_max < 1, got ({lo}, {hi})"
+        )
+    if not 0.0 < tau_tol < np.inf:
+        raise ConfigError(f"tau search tolerance must be finite and positive, got {tau_tol}")
+
+
 def maximize_alpha(
     workspace: LikelihoodWorkspace,
     tau_bounds=TAU_BOUNDS,
@@ -358,6 +370,7 @@ def fit_joint_model(
 
     `mc_n` and `mc_seed` are accepted and recorded in the model; the exact
     likelihood does not use them."""
+    check_tau_search(tau_bounds, tau_tol)
     diagnostics = {}
     try:
         s_d = terminal_km(data)

@@ -57,39 +57,11 @@ def censoring_km(data: SurvivalData) -> StepSurvival:
     return kaplan_meier(data.y, 1 - data.dtilde, t_max=data.t_max)
 
 
-def _suffix_counts(t, y):
-    """Rank-indexed joint exceedance counts of the sample (t, y).
-
-    Returns the unique values ``ut``, ``uy``, each subject's ranks ``rt``,
-    ``ry`` into them, and an int32 ``table`` of shape (#ut + 1, #uy + 1)
-    with ``table[r, s] = #{j: rt_j >= r, ry_j >= s}``.  For a query
-    (x, y) = (ut[r], uy[s]) on data values, the strict count
-    #{j: T_j > x, Y_j > y} is ``table[r + 1, s + 1]`` and the non-strict
-    count #{j: T_j >= x, Y_j >= y} is ``table[r, s]``; for any x the
-    non-strict row is ``searchsorted(ut, x, "left")``, and row #ut reads 0.
-    Building the table is O(n log n + #ut * #uy), at most O(n^2); each
-    query is O(1).
-    """
-    ut, rt = np.unique(t, return_inverse=True)
-    uy, ry = np.unique(y, return_inverse=True)
-    rt, ry = rt.astype(np.int32), ry.astype(np.int32)
-    table = np.zeros((ut.size + 1, uy.size + 1), dtype=np.int32)
-    np.add.at(table, (rt, ry), 1)
-    rev = table[::-1, ::-1]
-    np.cumsum(rev, axis=0, out=rev)
-    np.cumsum(rev, axis=1, out=rev)
-    return ut, uy, rt, ry, table
-
-
-def _key_sums(key, w, size):
-    """Per-key sums of w >= 0, rounded about once where `np.bincount` alone
-    rounds at every addition: scaled by 2**m, the whole parts of w sum
-    exactly (their total stays below 2**51) and only the fractions round."""
-    m = 51 - np.frexp(w.sum())[1]
-    frac = np.ldexp(w, m)
-    whole = np.floor(frac)
-    frac -= whole
-    return np.ldexp(np.bincount(key, whole, size) + np.bincount(key, frac, size), -m)
+def _block_rows(size, n_cols):
+    """Rows per block of the concordance grid sweep: max(2**16, size) cells
+    at most, so that a block's work outweighs one pass over `size` per-key
+    sums."""
+    return max(1, max(2**16, size) // n_cols)
 
 
 class _PairTable:
@@ -97,58 +69,136 @@ class _PairTable:
 
     A pair contributes when the smaller observed onset is an event and the
     smaller observed terminal time is a death; tied pairs are dropped.  Its
-    joint-survival argument s(x, y) = #{T > x, Y > y} / (n S_c(y)) at the
-    pair minima is one lookup in the table of `_suffix_counts` over one of
-    few S_c levels, so the pairs reduce to their (count, level) keys: per
-    key s, the weight sum `w` and concordant weight sum `wc`.  `pairs`
-    counts the usable pairs.
+    minima are then an onset value r and a death value s, and its
+    joint-survival argument s(x, y) = #{T > x, Y > y} / (n S_c(y)) and its
+    dampened weight depend only on that cell (r, s) of the grid.  The usable
+    pairs are counted per cell and reduced to (count, level) keys over the L
+    distinct S_c levels: per key s, the weight sum `w` and the concordant
+    weight sum `wc`.  `pairs` counts the usable pairs.
+
+    No pair is enumerated.  A concordant pair has both minima on one subject
+    i with an onset and a death, which heads #{T > t_i, Y > y_i} of them.
+    The discordant pairs on cell (r, s) number a(r, s) b(r, s): a counts the
+    subjects with onset r and Y > s, b those with death s and T > r.  The grid is swept in blocks of rows from the last onset
+    value down, each block carrying the counts of the rows above it.  A
+    block holds about max(2**16, (n + 1) L) cells, as many as the per-key
+    sums, so the build needs O(max(2**16, n L)) memory where the pairs
+    number O(n^2).
     """
 
     def __init__(self, k, data, s_c, weight_spec):
+        if weight_spec.kind not in ("unit", "dampened"):
+            raise ValueError(f"unknown weight kind {weight_spec.kind!r}")
         t = data.t[:, k]
         d = data.delta[:, k].astype(bool)
         y = data.y
         dt = data.dtilde.astype(bool)
         n = data.n
-        ut, uy, rt, ry, table = _suffix_counts(t, y)
-        iu, ju = np.triu_indices(n, k=1)
-
-        rt_i, rt_j = rt[iu], rt[ju]
-        ry_i, ry_j = ry[iu], ry[ju]
-        no_tie = (rt_i != rt_j) & (ry_i != ry_j)
-        d_min = np.where(rt_i < rt_j, d[iu], d[ju])
-        dt_min = np.where(ry_i < ry_j, dt[iu], dt[ju])
-        usable = no_tie & d_min & dt_min
-
-        rx_pair = np.minimum(rt_i, rt_j)[usable]  # ranks of the pair minima
-        ry_pair = np.minimum(ry_i, ry_j)[usable]
-        conc = ((rt_i < rt_j) == (ry_i < ry_j))[usable]
-        del iu, ju, rt_i, rt_j, ry_i, ry_j, no_tie, d_min, dt_min, usable  # peak memory
-
+        # the minima of a usable pair are an onset and a death, so the grid's
+        # rows are the onset values and its columns the death values; a
+        # subject's row counts the onset values below its t, so it lies above
+        # row r exactly when its t exceeds onset value r (columns alike)
+        onsets, deaths = np.unique(t[d]), np.unique(y[dt])
+        rt = np.searchsorted(onsets, t, "left")
+        ry = np.searchsorted(deaths, y, "left")
+        R, S = onsets.size + 1, deaths.size + 1
         # key = count * L + level of S_c(y) at the pair minima
-        levels, level = np.unique(np.asarray(s_c(uy), dtype=float), return_inverse=True)
+        levels, level = np.unique(np.asarray(s_c(deaths), dtype=float), return_inverse=True)
+        level = np.append(level, 0)  # the last column has no death
         L = levels.size
-        key = table[rx_pair + 1, ry_pair + 1] * np.int64(L) + level[ry_pair]
-        per_key = np.bincount(key)
-        if weight_spec.kind == "unit":
-            w, wc = per_key, np.bincount(key, conc, per_key.size)
-        elif weight_spec.kind == "dampened":
+        size = (n + 1) * L
+        # the subjects each count table holds, by (row, column): [0] onsets,
+        # [1] all, [2] all in the rows and columns of the dampened weight,
+        # [-1] deaths
+        tables = [(rt[d], ry[d]), (rt, ry)]
+        dampened = weight_spec.kind == "dampened"
+        if dampened:
             a = weight_spec.a if weight_spec.a is not None else np.quantile(t, 0.9)
             b = weight_spec.b if weight_spec.b is not None else np.quantile(y, 0.9)
-            # non-strict counts at (min(a, x), min(b, y)): the row of a
-            # minimum is the minimum of the rows
-            ra, rb = np.searchsorted(ut, a, "left"), np.searchsorted(uy, b, "left")
-            inv = table[np.minimum(ra, rx_pair), np.minimum(rb, ry_pair)] / n
-            w_pair = np.where(inv > 0, 1.0 / np.maximum(inv, 1e-12), 0.0)
-            w = _key_sums(key, w_pair, per_key.size)
-            wc = _key_sums(key, w_pair * conc, per_key.size)
+            # a pair's weight is n / #{T >= min(a, x), Y >= min(b, y)}, a
+            # suffix count over the onset and death values clipped at a, b
+            tables.append((
+                np.searchsorted(np.minimum(onsets, a), t, "right"),
+                np.searchsorted(np.minimum(deaths, b), y, "right"),
+            ))
+            # scaled by 2**m, the weights' whole parts sum exactly: at most
+            # n(n-1)/2 pairs of weight at most n / #{T >= a, Y >= b}
+            corner = max(np.count_nonzero((t >= a) & (y >= b)), 1)
+            m = 51 - np.frexp(n / corner * (n * (n - 1) / 2))[1]
+        both = d & dt  # the subjects heading concordant pairs
+        tables += [(rt[dt], ry[dt]), (rt[both], ry[both])]
+        # sorted by row, so that each block's subjects are one slice
+        tables = [(r[o], c[o]) for r, c in tables for o in [np.argsort(r)]]
+        heads = tables.pop()
+        # per key: the pairs, and for dampened weights the whole and
+        # fractional parts of the scaled weight sum
+        sums = np.zeros((3 if dampened else 1, size))
+        head_keys, head_ws = [], []  # per block, of the concordant pairs
+
+        rows = min(R, _block_rows(size, S + 1))
+        # a block's rows of the tables once summed, and a spare row carrying
+        # the rows above: [0] #{i: d_i, rt_i = r, ry_i >= s}, [1] #{j: rt_j
+        # >= r, ry_j >= s}, [2] the same in the clipped rows and columns, [-1]
+        # #{j: dt_j, rt_j >= r, ry_j = s}
+        grid = np.empty((rows + 1, len(tables), S + 1), dtype=np.int32)
+        carry = np.zeros((len(tables) - 1, S + 1), dtype=np.int32)
+        disc = np.empty((rows, S))
+        key = np.empty((rows, S), dtype=np.int64)
+        for hi in range(R, 0, -rows):
+            lo = max(hi - rows, 0)
+            h = hi - lo
+            blk = grid[: h + 1]
+            blk[:-1] = 0
+            blk[-1, 1:] = carry
+            for j, (r_j, c_j) in enumerate(tables):
+                in_blk = slice(*np.searchsorted(r_j, (lo, hi)))
+                np.add.at(blk, (r_j[in_blk] - lo, j, c_j[in_blk]), 1)
+            np.cumsum(blk[:-1, :-1, ::-1], axis=2, out=blk[:-1, :-1, ::-1])
+            np.cumsum(blk[::-1, 1:], axis=0, out=blk[::-1, 1:])
+            carry = blk[0, 1:].copy()
+
+            # cell (lo + r, s): a = blk[r, 0, s + 1], b = blk[r + 1, -1, s],
+            # and the strict counts blk[r + 1, 1:-1, s + 1]
+            np.multiply(blk[:-1, 0, 1:], blk[1:, -1, :-1], out=disc[:h], dtype=float)
+            np.multiply(blk[1:, 1, 1:], L, out=key[:h], dtype=np.int64)
+            key[:h] += level
+            in_blk = slice(*np.searchsorted(heads[0], (lo, hi)))
+            head = (heads[0][in_blk] - lo, heads[1][in_blk])
+            head_pairs = blk[head[0] + 1, 1, head[1] + 1]
+            cell_w, head_w = [disc[:h]], [head_pairs]
+            if dampened:
+                # each pair's weight 1 / (count / n); the count at a cell with
+                # pairs includes their subjects, so the floor at 1 only
+                # touches cells without pairs
+                scaled = np.maximum(blk[1:, 2, 1:], 1, dtype=float)
+                scaled /= n
+                np.divide(1.0, scaled, out=scaled)
+                np.ldexp(scaled, m, out=scaled)
+                whole = np.floor(scaled)
+                scaled -= whole
+                for part in (whole, scaled):
+                    head_w.append(head_pairs * part[head])
+                    part *= disc[:h]
+                    cell_w.append(part)
+            for acc, w_cells in zip(sums, cell_w):
+                acc += np.bincount(key[:h].ravel(), w_cells.ravel(), size)
+            head_keys.append(head_pairs * L + level[head[1]])
+            head_ws.append(head_w)
+        del grid, disc, key, cell_w  # peak memory
+
+        head_keys = np.concatenate(head_keys)
+        conc = np.array([np.bincount(head_keys, np.concatenate(w), size) for w in zip(*head_ws)])
+        sums += conc
+        if dampened:
+            w, wc = np.ldexp(sums[1] + sums[2], -m), np.ldexp(conc[1] + conc[2], -m)
         else:
-            raise ValueError(f"unknown weight kind {weight_spec.kind!r}")
+            w, wc = sums[0], conc[0]
+        per_key = sums[0]
         keys = np.flatnonzero(per_key)
         keys = keys[levels[keys % L] > 0]
         # s(x, y): IPCW-adjusted joint survival at the pair minima
         self.s = np.clip(keys // L / (n * levels[keys % L]), 1e-10, 1.0)
-        self.w, self.wc = w[keys].astype(float), wc[keys]
+        self.w, self.wc = w[keys], wc[keys]
         self.pairs = int(per_key[keys].sum())
 
     def score(self, cop: ArchimedeanCopula) -> float:

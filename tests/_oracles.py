@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from archsurv.copulas import ArchimedeanCopula, _clamp_unit, theta_from_tau
-from archsurv.marginals import SC_MAX_SWEEPS, SC_TOL, _suffix_counts
+from archsurv.marginals import SC_MAX_SWEEPS, SC_TOL
 from archsurv.survival import StepSurvival, kaplan_meier
 
 
@@ -144,6 +144,33 @@ def reference_self_consistent(k, data, theta_hat, s_d, family):
     else:
         warnings.warn("reference self-consistency did not converge", RuntimeWarning)
     return StepSurvival(grid, s, t_max=data.t_max), it
+
+
+# ---------------------------------------------------------------------------
+# The whole rank-indexed joint-exceedance table at once: O(#t * #y) memory,
+# which the package's block sweep avoids.
+
+
+def _suffix_counts(t, y):
+    """Rank-indexed joint exceedance counts of the sample (t, y).
+
+    Returns the unique values ``ut``, ``uy``, each subject's ranks ``rt``,
+    ``ry`` into them, and an int32 ``table`` of shape (#ut + 1, #uy + 1)
+    with ``table[r, s] = #{j: rt_j >= r, ry_j >= s}``.  For a query
+    (x, y) = (ut[r], uy[s]) on data values, the strict count
+    #{j: T_j > x, Y_j > y} is ``table[r + 1, s + 1]`` and the non-strict
+    count #{j: T_j >= x, Y_j >= y} is ``table[r, s]``; for any x the
+    non-strict row is ``searchsorted(ut, x, "left")``, and row #ut reads 0.
+    """
+    ut, rt = np.unique(t, return_inverse=True)
+    uy, ry = np.unique(y, return_inverse=True)
+    rt, ry = rt.astype(np.int32), ry.astype(np.int32)
+    table = np.zeros((ut.size + 1, uy.size + 1), dtype=np.int32)
+    np.add.at(table, (rt, ry), 1)
+    rev = table[::-1, ::-1]
+    np.cumsum(rev, axis=0, out=rev)
+    np.cumsum(rev, axis=1, out=rev)
+    return ut, uy, rt, ry, table
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,10 @@ def test_predict_query_errors_exit_4(workdir, tmp_path, capsys, flags):
         ["--cqst-levels", "0.5,1.5"],
         ["--times", "3,1,4,2"],  # out of order: the summaries read the grid in order
         ["--times", "1,2,2,3"],
+        ["--t-u-star", "nan"],
+        ["--t-u-star", "inf"],
+        ["--t-u-star", "0"],
+        ["--t-u-star", "-1"],
     ],
 )
 def test_predict_bad_number_flags_exit_2(workdir, tmp_path, flags):
@@ -403,6 +407,35 @@ def test_fit_and_crossval_fit_with_the_same_keywords(workdir, tmp_path, monkeypa
     assert seen["fit"]["tau_bounds"] == (0.05, 0.8)
     assert seen["fit"]["tau_tol"] == 0.001
     assert seen["crossval"] == seen["fit"]
+
+
+_BAD_OPTIMIZER = [
+    "optimizer.tau_tol = nan",
+    "optimizer.tau_tol = 0",
+    "optimizer.tau_tol = inf",
+    "optimizer.tau_min = 0.9\noptimizer.tau_max = 0.1",
+    "optimizer.tau_max = 1.5",
+    "optimizer.tau_min = -0.5",
+    "optimizer.tau_min = 0",
+    "optimizer.tau_min = nan",
+]
+
+
+@pytest.mark.parametrize("text", _BAD_OPTIMIZER)
+def test_config_rejects_bad_optimizer_settings(text):
+    with pytest.raises(ConfigError):
+        RunConfig.parse(text + "\n")
+
+
+@pytest.mark.parametrize("text", _BAD_OPTIMIZER)
+@pytest.mark.parametrize("command", ["fit", "crossval"])
+def test_bad_optimizer_settings_exit_2(workdir, tmp_path, text, command):
+    tmp, _ = workdir
+    cfg = write_cfg(tmp_path / "run.cfg", text + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--data", tmp / "train.csv", "--config", cfg,
+                 "--out", tmp_path / "out.json", "--threads", 1])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

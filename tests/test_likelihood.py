@@ -546,6 +546,24 @@ def test_bootstrap_percentile_interval_basic():
             bootstrap_fit(data, "frank", b=b)
 
 
+@pytest.mark.parametrize(
+    "tau_bounds, tau_tol",
+    [
+        ((0.01, 0.95), float("nan")),
+        ((0.01, 0.95), 0.0),
+        ((0.01, 0.95), float("inf")),
+        ((0.9, 0.1), 1e-4),
+        ((0.01, 1.5), 1e-4),
+        ((-0.5, 0.95), 1e-4),
+        ((float("nan"), 0.95), 1e-4),
+    ],
+)
+def test_fit_rejects_bad_tau_search(tau_bounds, tau_tol):
+    data = simulate_dataset(ex1_config(k=2, n_train=30, n_test=0, seed=5)).train
+    with pytest.raises(ConfigError, match="tau search"):
+        fit_joint_model(data, "frank", tau_bounds=tau_bounds, tau_tol=tau_tol)
+
+
 def test_aic_definition():
     cfg = ex2_config(k=2, tau_alpha=0.4, censor_upper=20.0, n_train=60, n_test=0,
                      seed=41)

@@ -1,6 +1,7 @@
 """Stage-one estimators: concordance equation, self-consistency, conditional
 survival."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,8 +22,8 @@ from archsurv.marginals import (
     TAU_BRACKET,
     PairwiseAssociation,
     WeightSpec,
+    _block_rows,
     _PairTable,
-    _suffix_counts,
     censoring_km,
     self_consistent_marginal,
     solve_theta,
@@ -32,6 +33,7 @@ from archsurv.predict import PredictionQuery, q_joint_density
 from archsurv.simulate import SimConfig, ex1_config, ex3_config, simulate_dataset
 from archsurv.survival import StepSurvival, kaplan_meier
 from tests._oracles import (
+    _suffix_counts,
     copula_from_tau,
     reference_pair_table,
     reference_self_consistent,
@@ -330,6 +332,76 @@ def test_pair_table_keeps_no_per_pair_array(kind):
     for name, value in vars(table).items():
         if isinstance(value, np.ndarray):
             assert value.size <= (data.n + 1) * levels, name
+
+
+def _draw_with_onsets(seed, n, onsets):
+    """n subjects on continuous times, about 10% censored, of which exactly
+    `onsets` have an observed onset; the terminal part depends on the seed
+    alone."""
+    y_rng, t_rng = (np.random.default_rng([seed, i]) for i in range(2))
+    y = y_rng.exponential(size=n)
+    dtilde = (y_rng.uniform(size=n) < 0.9).astype(int)
+    delta = np.zeros(n, dtype=int)
+    delta[t_rng.choice(n, onsets, replace=False)] = 1
+    t = np.where(delta == 1, y * t_rng.uniform(size=n), y)
+    return SurvivalData(t[:, None], delta[:, None], y, dtilde)
+
+
+def _sweep_rows(data):
+    """Rows per block of `_PairTable`'s sweep on this draw: the grid has one
+    column per death value plus two, and (n + 1) L per-key sums."""
+    deaths = np.unique(data.y[data.dtilde == 1])
+    levels = np.unique(np.asarray(censoring_km(data)(deaths), dtype=float)).size
+    return _block_rows((data.n + 1) * levels, deaths.size + 2)
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, "several"])
+def test_pair_table_exact_across_block_boundaries(offset):
+    # the grid has one row per onset value plus one, swept in blocks of
+    # `rows` rows: onset counts around a block's row count put the last
+    # block boundary on every side of the grid's end
+    n = 600
+    rows = _sweep_rows(_draw_with_onsets(0, n, 1))
+    onsets = 3 * rows + 7 if offset == "several" else rows + offset
+    data = _draw_with_onsets(0, n, onsets)
+    assert _sweep_rows(data) == rows
+    blocks = -(-(onsets + 1) // rows)
+    assert blocks == {-2: 1, -1: 1, 0: 2, 1: 2, "several": 4}[offset]
+    s_c = censoring_km(data)
+    table = _PairTable(0, data, s_c, WeightSpec())
+    ref = reference_pair_table(0, data, s_c, WeightSpec())
+    assert table.pairs == ref.pairs > 0
+    # per distinct s, the pair and concordant-pair counts are exact integers
+    us, w_by_s = _weight_by_s(table.s, table.w)
+    ref_us, ref_w_by_s = _weight_by_s(ref.s, ref.w)
+    assert np.array_equal(us, ref_us)
+    assert np.array_equal(w_by_s, ref_w_by_s)
+    assert np.array_equal(_weight_by_s(table.s, table.wc)[1], _weight_by_s(ref.s, ref.conc)[1])
+
+    table = _PairTable(0, data, s_c, WeightSpec("dampened"))
+    ref = reference_pair_table(0, data, s_c, WeightSpec("dampened"))
+    us, w_by_s = _weight_by_s(table.s, table.w)
+    ref_us, ref_w_by_s = _weight_by_s(ref.s, ref.w)
+    assert np.array_equal(us, ref_us)
+    np.testing.assert_allclose(w_by_s, ref_w_by_s, rtol=1e-13)
+    for tau in (0.05, 0.3, 0.6, 0.95):
+        cop = copula_from_tau("frank", tau)
+        assert abs(table.score(cop) - ref.score(cop)) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["unit", "dampened"])
+def test_pair_table_build_memory_is_bounded(kind):
+    # 1.03M usable pairs: enumerating all n(n-1)/2 pairs takes about 70 MB
+    # here, the grid sweep O(max(2**16, n L)) numbers
+    data = _sim(ex1_config(k=1, censor_upper=20.0, n_train=1600, n_test=0, seed=0)).train
+    s_c = censoring_km(data)
+    tracemalloc.start()
+    try:
+        _PairTable(0, data, s_c, WeightSpec(kind))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 def test_bootstrap_survives_replicate_below_independence():
