@@ -42,6 +42,7 @@ from .predict import (
     cmst,
     cqst,
     predict_baseline,
+    predict_batch,
     predict_curves,
     predict_survival_dp,
     prediction_interval,
@@ -80,6 +81,7 @@ __all__ = [
     "PredictionQuery",
     "SurvivalPrediction",
     "predict_curves",
+    "predict_batch",
     "predict_survival_dp",
     "predict_baseline",
     "q_joint_density",

@@ -32,7 +32,7 @@ from .errors import ArchsurvError, ConfigError, EstimationError, NotIdentified
 from .likelihood import FittedJointModel, bootstrap_fit, fit_joint_model, model_aic
 from .marginals import WeightSpec
 from .metrics import MetricConfig, cross_validate, evaluate_model
-from .predict import cmst, cqst, predict_curves, prediction_interval
+from .predict import cmst, cqst, predict_batch, prediction_interval
 from .simulate import simulate_dataset
 
 
@@ -181,27 +181,32 @@ def cmd_predict(args):
         raise ConfigError(f"--times must be strictly increasing, got {args.times}")
     header = provenance_line("predict", args.seed, "-")
     curve_rows, summary_rows = [], []
-    for rid, q in zip(ids, queries):
-        methods = _methods_for(q, args.method)
-        try:
-            times = None if times_flag is None else times_flag[times_flag > q.landmark]
-            pred = predict_curves(q, model, methods, times)
-            quantiles = [cqst(pred, lv) for lv in levels]
-            iv = prediction_interval(pred, t_u_star=t_u_star)
-            mean = cmst(pred, t_u_star)
-        except ConfigError as exc:
-            _fail(2, str(exc))
-        except ArchsurvError as exc:
-            _fail(4, f"subject {rid}: {exc}")
-        for j, method in enumerate(methods):
-            curve_rows += [
-                (rid, method, _fmt(t), _fmt(v)) for t, v in zip(pred.times, pred.values[j])
-            ]
-            summary_rows.append((
-                rid, method, _fmt(q.landmark), _fmt(mean[j]),
-                *("" if np.isnan(at[j]) else _fmt(at[j]) for at in quantiles),
-                _fmt(iv.lo[j]), _fmt(iv.hi[j]), str(int(iv.hi_censored[j])),
-            ))
+    methods = [_methods_for(q, args.method) for q in queries]
+    for index, batch, failures in predict_batch(queries, model, methods, times_flag):
+        # the chunk's subjects in query order; the first that fails ends the run
+        done = dict(zip(index.tolist(), range(index.size)))
+        for pos in sorted([*done, *failures]):
+            rid, q = ids[pos], queries[pos]
+            try:
+                if pos in failures:
+                    raise failures[pos]
+                pred = batch.subject(done[pos])
+                quantiles = [cqst(pred, lv) for lv in levels]
+                iv = prediction_interval(pred, t_u_star=t_u_star)
+                mean = cmst(pred, t_u_star)
+            except ConfigError as exc:
+                _fail(2, str(exc))
+            except ArchsurvError as exc:
+                _fail(4, f"subject {rid}: {exc}")
+            for j, method in enumerate(pred.method):
+                curve_rows += [
+                    (rid, method, _fmt(t), _fmt(v)) for t, v in zip(pred.times, pred.values[j])
+                ]
+                summary_rows.append((
+                    rid, method, _fmt(q.landmark), _fmt(mean[j]),
+                    *("" if np.isnan(at[j]) else _fmt(at[j]) for at in quantiles),
+                    _fmt(iv.lo[j]), _fmt(iv.hi[j]), str(int(iv.hi_censored[j])),
+                ))
     with open(args.out, "w") as fh:
         fh.write(header + "\n")
         fh.write("id,method,t,survival\n")

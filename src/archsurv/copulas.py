@@ -55,7 +55,7 @@ def _check_theta(family: str, theta: float) -> None:
         if not theta >= 1:
             raise RangeError(f"gumbel requires theta >= 1, got {theta}")
     elif family == "frank":
-        if theta == 0 or not np.isfinite(theta):
+        if theta == 0 or not math.isfinite(theta):
             raise RangeError(f"frank requires finite theta != 0, got {theta}")
     else:
         raise RangeError(f"unknown copula family {family!r}")
@@ -345,12 +345,13 @@ class ArchimedeanCopula:
         out.clip(0.0, 1.0, out=out)
         return out if out.ndim else float(out)
 
-    def partials(self, u, v):
+    def partials(self, u, v, h1=True):
         """(H1, H2, H12): first partials in u and v and the mixed partial.
 
         H1 and H2 carry the conditional-survival interpretation and live in
         [0, 1]; H12 is the copula density factor and is non-negative.  A
-        caller that reads one of H1, H2 calls `h2` instead.
+        caller that reads one of H1, H2 calls `h2` instead; one that reads
+        H2 and H12 passes h1=False and gets None for H1.
         """
         uc, vc = _clamp_unit(u), _clamp_unit(v)
         th = self.theta
@@ -358,7 +359,7 @@ class ArchimedeanCopula:
             if self.family == "clayton":
                 la = self._clayton_log_a(uc, vc)
                 lu, lv = np.log(uc), np.log(vc)
-                h1 = self._clayton_h2(la, lu)
+                h1 = self._clayton_h2(la, lu) if h1 else None
                 h2 = self._clayton_h2(la, lv)
                 h12 = (1.0 + th) * np.exp(
                     -(2.0 + 1.0 / th) * la - (th + 1.0) * (lu + lv)
@@ -369,7 +370,7 @@ class ArchimedeanCopula:
                 beta = 1.0 / th
                 lu, lv = np.log(uc), np.log(vc)
                 llx, lly = np.log(-lu), np.log(-lv)
-                h1 = self._gumbel_h2(lt, s, llx, lu)
+                h1 = self._gumbel_h2(lt, s, llx, lu) if h1 else None
                 h2 = self._gumbel_h2(lt, s, lly, lv)
                 h12 = (
                     th
@@ -385,14 +386,14 @@ class ArchimedeanCopula:
                     np.expm1(-th),
                 )
                 denom = e1 + eu * ev
-                h1 = self._frank_h2(ev, uc, denom)
+                h1 = self._frank_h2(ev, uc, denom) if h1 else None
                 h2 = self._frank_h2(eu, vc, denom)
                 h12 = -th * np.exp(-th * (uc + vc)) * e1 / denom**2
-        h1 = np.clip(h1, 0.0, 1.0)
+        h1 = None if h1 is None else np.clip(h1, 0.0, 1.0)
         h2 = np.clip(h2, 0.0, 1.0)
         h12 = np.maximum(h12, 0.0)
-        if h1.ndim == 0:
-            return float(h1), float(h2), float(h12)
+        if h2.ndim == 0:
+            return None if h1 is None else float(h1), float(h2), float(h12)
         return h1, h2, h12
 
     # -- frailty --------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import optimize
@@ -82,7 +82,7 @@ def onset_partials(marginal: StepSurvival, cop: ArchimedeanCopula, t_onset, v):
     """(G, H12) at (S_k(t_onset), v): G = H2 is the survival of onset k past
     t_onset given death where S_D = v, and H12 the copula density factor.
     The density of an observed onset is H12 * (-S_k'(t_onset))."""
-    _, g, h12 = cop.partials(np.asarray(marginal(t_onset)), np.asarray(v))
+    _, g, h12 = cop.partials(np.asarray(marginal(t_onset)), np.asarray(v), h1=False)
     return g, h12
 
 
@@ -245,6 +245,24 @@ class FittedJointModel:
 
     def copula_for(self, k: int) -> ArchimedeanCopula:
         return ArchimedeanCopula(self.family, self.thetas[k].theta_hat)
+
+    # Prediction reads the terminal curve with its tail mass completed onto
+    # t_max.  Both are computed once per model (read-only arrays); they are
+    # neither serialised nor compared.
+
+    @cached_property
+    def completed_terminal(self) -> StepSurvival:
+        """The terminal curve dropping to 0 at t_max."""
+        return self.terminal.completed()
+
+    @cached_property
+    def terminal_measure(self):
+        """(times, masses, S_D values) of the completed terminal measure, as
+        `terminal_atoms` gives them."""
+        arrays = terminal_atoms(self.terminal)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def copula_alpha(self) -> ArchimedeanCopula:
         if self.alpha is None:

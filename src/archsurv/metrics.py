@@ -16,14 +16,15 @@ from .data import SurvivalData
 from .errors import ConfigError, EstimationError, NoComparablePairs, NotIdentified
 from .likelihood import fit_joint_model, _run_indexed
 from .marginals import censoring_km
-# predict_baseline and predict_survival_dp stay: perfbench/tracing.py wraps them here
+# evaluate_model predicts through predict_batch; predict_baseline and
+# predict_survival_dp stay because perfbench/tracing.py wraps them here
 from .predict import (
     PredictionInterval,
     PredictionQuery,
     cmst,
     cqst,
     predict_baseline,
-    predict_curves,
+    predict_batch,
     predict_survival_dp,
     prediction_interval,
 )
@@ -145,8 +146,12 @@ def integrated_brier(bs_values, times, t_u_star=None):
 
 
 def auc_t(curves_at_t, y, dtilde, landmarks, s_c, t):
-    """Censoring-weighted time-dependent AUC; score ties count half.  The
-    methods share the pair weights; only the win counts are taken per row."""
+    """Censoring-weighted time-dependent AUC: the weighted share of
+    case/control pairs whose case has the lower predicted survival, score
+    ties counting half (Blanche, Dartigues & Jacqmin-Gadda 2013).  Each
+    method row is a weighted rank count: its control scores are sorted
+    once, and each case takes the control weight above its score plus half
+    the weight tied with it; O(n log n) per row."""
     s_vals = np.asarray(curves_at_t, dtype=float)
     y = np.asarray(y, dtype=float)
     landmarks = np.asarray(landmarks, dtype=float)
@@ -155,13 +160,18 @@ def auc_t(curves_at_t, y, dtilde, landmarks, s_c, t):
     ctrl = (y > t) & (w > 0)
     if not case.any() or not ctrl.any():
         raise NoComparablePairs(f"no case/control pair at t={t}")
-    wi = w[case][:, None] * w[ctrl][None, :]
+    w_case, w_ctrl = w[case], w[ctrl]
     rows = np.atleast_2d(s_vals)
-    wins = [
-        np.sum(wi * ((si[:, None] < sj) + 0.5 * (si[:, None] == sj)))
-        for si, sj in zip(rows[:, case], rows[:, ctrl])
-    ]
-    return (np.reshape(wins, s_vals.shape[:-1]) / np.sum(wi)).tolist()
+    wins = []
+    for si, sj in zip(rows[:, case], rows[:, ctrl]):
+        order = np.argsort(sj, kind="stable")
+        sj = sj[order]
+        # control weight at or above each sorted position, summed from the top
+        above = np.append(np.cumsum(w_ctrl[order][::-1])[::-1], 0.0)
+        lo = np.searchsorted(sj, si, side="left")
+        hi = np.searchsorted(sj, si, side="right")
+        wins.append(np.dot(w_case, above[hi] + 0.5 * (above[lo] - above[hi])))
+    return (np.reshape(wins, s_vals.shape[:-1]) / (w_case.sum() * w_ctrl.sum())).tolist()
 
 
 def interval_metrics(truths, intervals):
@@ -256,36 +266,52 @@ def evaluate_model(
     grid = cfg.grid()
 
     # score a subject only if every method's prediction is identified, so
-    # the reports compare like with like; each subject's curves are reduced
-    # to their summaries and their values on the score grid at once
-    usable, landmarks, cmsts, cqsts, intervals, curves = [], [], [], [], [], []
-    for i in range(data.n):
-        q = subject_query(data, i)
-        if q.landmark >= model.t_max or q.landmark > t_star:
+    # the reports compare like with like; each chunk of predicted subjects
+    # is reduced to its summaries and its values on the score grid at once
+    queries = [subject_query(data, i) for i in range(data.n)]
+    eligible = np.array(
+        [i for i, q in enumerate(queries) if q.landmark < model.t_max and q.landmark <= t_star],
+        dtype=int,
+    )
+    subjects = [queries[i] for i in eligible]
+    names = [[_method_for(m, q, model.k) for m in methods] for q in subjects]
+    ok = np.zeros(eligible.size, dtype=bool)
+    landmarks = np.array([q.landmark for q in subjects])
+    # (methods, subjects, ...) results, one C-ordered row per method, each
+    # chunk's (subjects, methods, ...) rows written into their columns
+    out = {}
+
+    def put(name, rows, index):
+        if name not in out:
+            out[name] = np.empty((rows.shape[1], eligible.size) + rows.shape[2:], rows.dtype)
+        out[name][:, index] = np.swapaxes(rows, 0, 1)
+
+    for index, pred, failures in predict_batch(subjects, model, names):
+        for exc in failures.values():
+            if not isinstance(exc, NotIdentified):
+                raise exc
+        if pred is None:
             continue
-        try:
-            pred = predict_curves(q, model, [_method_for(m, q, model.k) for m in methods])
-        except NotIdentified:
-            continue
-        usable.append(i)
-        landmarks.append(q.landmark)
-        cmsts.append(cmst(pred, t_star))
-        cqsts.append(cqst(pred, cfg.qpe_tau))
+        ok[index] = True
+        put("cmst", cmst(pred, t_star), index)
+        put("cqst", cqst(pred, cfg.qpe_tau), index)
         iv = prediction_interval(pred, t_u_star=t_star)
-        intervals.append((iv.lo, iv.hi, iv.hi_censored))
-        curves.append(pred.at(grid))
-    n_skipped = data.n - len(usable)
-    if not usable:
+        for name in ("lo", "hi", "hi_censored"):
+            put(name, getattr(iv, name), index)
+        put("curves", pred.at(grid), index)
+    if not ok.any():
         raise EstimationError("evaluate", "no subject has an identified prediction")
-    idx = np.array(usable)
+    if not ok.all():
+        out = {name: np.compress(ok, rows, axis=1) for name, rows in out.items()}
+    idx, landmarks = eligible[ok], landmarks[ok]
+    n_skipped = data.n - idx.size
     y, dtilde = data.y[idx], data.dtilde[idx]
     d_true = None if d_true is None else np.asarray(d_true)[idx]
-    # (methods, subjects, ...) results, one C-ordered row per method; a
-    # quantile out of reach scores as t*
-    cmsts = np.stack(cmsts, axis=1)
-    cqsts = np.nan_to_num(np.stack(cqsts, axis=1), nan=t_star)
-    intervals = PredictionInterval(*(np.stack(col, axis=1) for col in zip(*intervals)))
-    curves = np.stack(curves, axis=1)
+    # a quantile out of reach scores as t*
+    cmsts = out["cmst"]
+    cqsts = np.nan_to_num(out["cqst"], nan=t_star)
+    intervals = PredictionInterval(out["lo"], out["hi"], out["hi_censored"])
+    curves = out["curves"]
 
     mspe, qpe, _ = point_errors(
         cmsts, cqsts, cfg, d_true=d_true, y=y, dtilde=dtilde, s_c=s_c

@@ -6,9 +6,15 @@ the fitted copulas: a Kaplan-Meier ratio with no history, a copula partial
 ratio with one onset, and for two or more onsets a ratio of Stieltjes
 integrals of the joint onset density against the terminal curve.  Landmark
 baselines that use less of the history are provided for comparison, along
-with restricted-mean and quantile summaries of the predicted curve.  One
-call predicts every requested method for a history on one grid, and each
-summary reduces all of its curves at once.
+with restricted-mean and quantile summaries of the predicted curve.
+
+`predict_curves` predicts every requested method for one history on one
+grid.  `predict_batch` predicts many histories in chunks of whole subjects:
+the terminal atoms past every landmark of a chunk are the cells of one
+density array, and the single-onset rows of a chunk one copula call per
+onset.  Both assemble their rows with the same code, so a history's rows
+are the same either way.  Each summary reduces all the curves of a
+prediction at once, a batch's (subjects, methods) rows included.
 """
 
 from __future__ import annotations
@@ -16,16 +22,22 @@ from __future__ import annotations
 import traceback
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NotIdentified
+from .errors import ArchsurvError, ConfigError, DomainError, NotIdentified
 from .likelihood import FittedJointModel, cell_log_terms, onset_partials
 from .survival import step_lookup
 
 DEFAULT_EXTRA_GRID = 200
+_FILLER_STEPS = np.arange(1.0, DEFAULT_EXTRA_GRID + 1)
 COARSE_GRID_FRACTION = 0.1
 INTERVAL_LEVELS = (0.025, 0.975)  # quantile levels of the prediction interval
+# a batch chunk holds whole subjects while its curves (subjects x methods x
+# longest grid) and density cells (cells x onsets) stay within this count:
+# 512 kB per float array; the chunk's temporaries are a few times that
+CHUNK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -53,7 +65,7 @@ class PredictionQuery:
     def m(self) -> int:
         return len(self.events)
 
-    @property
+    @cached_property
     def landmark(self) -> float:
         return max((t for _, t in self.events), default=0.0)
 
@@ -61,21 +73,57 @@ class PredictionQuery:
 @dataclass
 class SurvivalPrediction:
     """Predicted conditional survival on a grid past the landmark: one curve
-    (1-d values, one method) or one curve per method (2-d values, one row
-    per entry of a tuple of methods)."""
+    (1-d values, one method), one curve per method (2-d values, one row
+    per entry of a tuple of methods), or a batch of histories (3-d values,
+    subjects x methods x grid).  A batch has one grid per subject (the rows
+    of 2-d times, padded with +inf), one landmark per subject, and one
+    tuple of methods per subject; a subject's curves repeat their last
+    value past its grid, and its last method row past its methods."""
 
     times: np.ndarray
     values: np.ndarray
     method: str | tuple
-    landmark: float
+    landmark: float | np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
 
     def at(self, t):
-        """Right-continuous evaluation; 1 at/before the landmark."""
-        return step_lookup(self.times, self.values, t)
+        """Right-continuous evaluation; 1 at/before the landmark.  A batch
+        takes one set of times (scalar or 1-d) for all its subjects and
+        returns subjects x methods x times."""
+        if self.times.ndim == 1:
+            return step_lookup(self.times, self.values, t)
+        t = np.asarray(t, dtype=float)
+        out = _lookup(self.times, self.values, t.ravel())
+        return out.reshape(self.values.shape[:2] + t.shape)
+
+    def subject(self, i: int) -> "SurvivalPrediction":
+        """Subject i of a batch: its own methods on its own grid."""
+        size = int(np.isfinite(self.times[i]).sum())
+        methods = self.method[i]
+        return SurvivalPrediction(
+            self.times[i, :size], self.values[i, : len(methods), :size],
+            methods, float(self.landmark[i]),
+        )
+
+
+def _lookup(times, values, t):
+    """Right-continuous values (subjects x methods x t.size) of curves with
+    one grid per subject (`times`, sorted rows) at the 1-d times `t`."""
+    order = np.argsort(t, kind="stable")
+    # a grid time is at or below the j-th smallest t from j = its insertion
+    # point among the sorted t onwards: count them per subject and t
+    first = np.searchsorted(t[order], times, side="left")
+    width = t.size + 1
+    bins = first + width * np.arange(times.shape[0])[:, None]
+    counts = np.bincount(bins.ravel(), minlength=width * times.shape[0])
+    count = np.empty((times.shape[0], t.size), dtype=int)
+    count[:, order] = counts.reshape(-1, width).cumsum(axis=1)[:, :-1]
+    count = count[:, None, :]
+    out = np.take_along_axis(values, np.maximum(count - 1, 0), axis=-1)
+    return np.where(count > 0, out, 1.0)
 
 
 def _default_grid(atoms, landmark: float, t_max: float) -> np.ndarray:
@@ -85,9 +133,60 @@ def _default_grid(atoms, landmark: float, t_max: float) -> np.ndarray:
         raise NotIdentified(
             f"landmark {landmark:.6g} is at or beyond follow-up {t_max:.6g}"
         )
-    atoms = atoms[(atoms > landmark) & (atoms <= t_max)]
-    filler = np.linspace(landmark, t_max, DEFAULT_EXTRA_GRID + 1)[1:]
-    return np.unique(np.concatenate([atoms, filler]))
+    lo, hi = np.searchsorted(atoms, (landmark, t_max), side="right")
+    # np.linspace(landmark, t_max, DEFAULT_EXTRA_GRID + 1)[1:], the same bits
+    filler = _FILLER_STEPS * ((t_max - landmark) / DEFAULT_EXTRA_GRID) + landmark
+    filler[-1] = t_max
+    grid = np.concatenate([atoms[lo:hi], filler])
+    grid.sort(kind="stable")  # merges the two sorted runs
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+
+
+def _grid(model, landmark, times):
+    """A history's evaluation times: `times` checked, or the default grid."""
+    if times is None:  # increasing by construction
+        return _default_grid(model.terminal_measure[0], landmark, model.t_max)
+    # cmst, cqst and the intervals read the grid in order
+    times = np.asarray(times, dtype=float)
+    if times.size > 1 and not (times[1:] > times[:-1]).all():
+        raise DomainError("evaluation times must be strictly increasing")
+    if times.size == 0:
+        raise DomainError("no evaluation time past the landmark")
+    if np.any(times <= landmark):
+        raise DomainError("evaluation times must exceed the landmark")
+    return times
+
+
+def _joint_density(model, v, onsets):
+    """History density factor (see `q_joint_density`) of every cell, a
+    candidate death time where S_D = v.  `onsets` holds (k, cells, t_k) for
+    each onset k some cell observes: those cells (an index, or a slice) and
+    the onset's time in each.  An onset a cell does not observe has G = 1,
+    where the generator vanishes, and leaves the cell's weight alone."""
+    every = all(isinstance(cells, slice) for _, cells, _ in onsets)
+    g = np.ones((v.size, len(onsets)))
+    obs = np.ones(g.shape, dtype=bool) if every else np.zeros(g.shape, dtype=bool)
+    log_w = np.zeros(v.size)
+    with np.errstate(divide="ignore"):
+        for j, (k, cells, t_k) in enumerate(onsets):
+            cop_k = model.copula_for(k)
+            g[cells, j], h12 = onset_partials(model.marginals[k], cop_k, t_k, v[cells])
+            obs[cells, j] = True
+            log_w[cells] += np.log(h12)
+    # a cell with a vanishing density factor has zero density, as for the
+    # likelihood's records
+    keep = np.flatnonzero(np.isfinite(log_w))
+    obs = obs[keep]
+    if every:  # one group: every cell observes every onset
+        groups = [(len(onsets), slice(None))]
+    else:
+        d = obs.sum(axis=1)
+        groups = [(j, np.flatnonzero(d == j)) for j in np.flatnonzero(np.bincount(d))]
+    out = np.zeros(v.size)
+    out[keep] = np.exp(
+        cell_log_terms(model.copula_alpha(), g[keep], obs, log_w[keep], groups)
+    )
+    return out
 
 
 def q_joint_density(query: PredictionQuery, t, model: FittedJointModel):
@@ -106,25 +205,81 @@ def q_joint_density(query: PredictionQuery, t, model: FittedJointModel):
         raise DomainError("candidate death times must exceed the landmark")
     if query.m == 0:
         raise DomainError("joint density factor needs at least one onset")
-    v = np.atleast_1d(model.terminal.completed().mid_value(t))
-    g = np.empty((v.size, query.m))
-    log_w = np.zeros(v.size)
-    with np.errstate(divide="ignore"):
-        for j, (k, t_k) in enumerate(query.events):
-            cop_k = model.copula_for(k)
-            g[:, j], h12 = onset_partials(model.marginals[k], cop_k, t_k, v)
-            log_w += np.log(h12)
-    # a cell with a vanishing density factor has zero density, as for the
-    # likelihood's records
-    keep = np.flatnonzero(np.isfinite(log_w))
-    out = np.zeros(v.size)
-    out[keep] = np.exp(
-        cell_log_terms(
-            model.copula_alpha(), g[keep], np.ones((keep.size, query.m), bool),
-            log_w[keep], [(query.m, slice(None))],
-        )
-    )
+    v = np.atleast_1d(model.completed_terminal.mid_value(t))
+    out = _joint_density(model, v, [(k, slice(None), t_k) for k, t_k in query.events])
     return out if t.ndim else float(out[0])
+
+
+def _density_of_one(model, queries, start):
+    """The joint density of one history (`q_joint_density`) at the terminal
+    atoms past its landmark (index `start` on), 0 before: 1 x atoms."""
+    (query,), (first,) = queries, start
+    atoms = model.terminal_measure[0]
+    out = np.zeros((1, atoms.size))
+    if first < atoms.size:
+        out[0, first:] = q_joint_density(query, atoms[first:], model)
+    return out
+
+
+def _density_of_many(model, queries, start):
+    """`_density_of_one` for many histories at once: the atoms past every
+    landmark are the cells of one array.  histories x atoms."""
+    atoms, _, mids = model.terminal_measure
+    n_past = atoms.size - np.asarray(start)
+    row = np.repeat(np.arange(len(queries)), n_past)
+    atom = np.arange(row.size) + np.repeat(start - np.cumsum(n_past) + n_past, n_past)
+    t_onset = np.full((len(queries), model.k), np.nan)
+    for i, q in enumerate(queries):
+        for k, t_k in q.events:
+            t_onset[i, k] = t_k
+    onsets = []
+    for k in range(model.k):
+        cells = np.flatnonzero(~np.isnan(t_onset[row, k]))
+        if cells.size:
+            onsets.append((k, cells, t_onset[row[cells], k]))
+    out = np.zeros((len(queries), atoms.size))
+    out[row, atom] = _joint_density(model, mids[atom], onsets)
+    return out
+
+
+def _row_sums(x, start, stop):
+    """x[i, ..., start[i]:stop[i]].sum(axis=-1) for every row i.  numpy's
+    pairwise summation rounds by the length of the slice it adds, so the
+    rows of one (start, stop) are summed together, each as it is alone."""
+    if len(x) == 1:
+        return x[:, ..., start[0]:stop[0]].sum(axis=-1)
+    out = np.empty(x.shape[:-1])
+    width = x.shape[-1] + 1
+    key = np.asarray(start) * width + stop
+    for k in set(key.tolist()):
+        rows = np.flatnonzero(key == k)
+        a, b = divmod(k, width)
+        out[rows] = x[rows, ..., a:b].sum(axis=-1)
+    return out
+
+
+def _tail_rows(model, density, start, times, landmarks):
+    """DP rows for two or more onsets: the terminal mass past each time,
+    weighted by the history's joint density, over the mass past the
+    landmark.  `density` (histories x atoms) is 0 up to each landmark
+    (atom index below `start`).  Returns (rows, {history: exception})."""
+    atoms, masses, _ = model.terminal_measure
+    weights = density * masses
+    den = _row_sums(weights, start, np.full(len(start), atoms.size))
+    # the mass past each atom, summed from the last atom down
+    tail = np.zeros(weights.shape)
+    tail[:, :-1] = np.cumsum(weights[:, :0:-1], axis=1)[:, ::-1]
+    ratio = tail / np.where(den > 0, den, np.nan)[:, None]
+    idx = np.searchsorted(atoms, times, side="right") - 1
+    rows = ratio[np.arange(len(start))[:, None], np.maximum(idx, 0)]
+    rows[idx < start[:, None]] = 1.0
+    errors = {}
+    for i, (first, total) in enumerate(zip(start.tolist(), den.tolist())):
+        if first == atoms.size:
+            errors[i] = NotIdentified(f"no terminal mass beyond landmark {landmarks[i]:.6g}")
+        elif not total > 0:
+            errors[i] = NotIdentified("denominator integral vanished")
+    return np.clip(rows, 0.0, 1.0, out=rows), errors
 
 
 def _parse_method(method):
@@ -137,6 +292,89 @@ def _parse_method(method):
     raise ConfigError(f"unknown prediction method {method!r}")
 
 
+def _method_keys(query, methods):
+    """The row each method reads: "P0", "DP" (two or more onsets), or
+    (onset, its time, anchor).  DP is P0 with no onset and Pk with one."""
+    observed = dict(query.events)
+    keys = []
+    for method in methods:
+        base, k = _parse_method(method)
+        if base == "DP" and query.m < 2:
+            base, k = ("Pk", query.events[0][0]) if query.m else ("P0", None)
+        if k is not None and k not in observed:
+            raise DomainError(f"event {k} not observed in the query")
+        if k is None:
+            keys.append(base)
+        else:
+            anchor = query.landmark if base == "Pkm" else observed[k]
+            keys.append((k, observed[k], anchor))
+    return keys
+
+
+def _curves(model, queries, keys, times, density):
+    """Every history's method rows on its grid (a row of `times`), and
+    {history: exception} for those that are not identified, with the
+    exception of each one's first failing method.  `keys` holds each
+    history's method keys; a shorter list repeats its last key.  `density`
+    gives the joint density rows of the histories with a DP key."""
+    n_methods = max(map(len, keys))
+    values = np.empty((len(keys), n_methods, times.shape[1]))
+    landmarks = np.array([q.landmark for q in queries])
+    p0, dp, single = [], {}, {}  # (history, method) per kind of row
+    for i, row in enumerate(keys):
+        for j, key in enumerate(row + row[-1:] * (n_methods - len(row))):
+            if key == "P0":
+                p0.append((i, j))
+            elif key == "DP":
+                dp.setdefault(i, []).append(j)
+            else:
+                single.setdefault(key[0], {}).setdefault(i, []).append((j, *key[1:]))
+    errors = {}
+
+    def fail(i, j, exc):
+        if i not in errors or j < errors[i][0]:
+            errors[i] = (j, exc)
+
+    s = model.completed_terminal
+    if p0 or single:
+        s_times = np.asarray(s(times))
+    if p0:  # the terminal ratio S_D(t) / S_D(landmark)
+        den = np.asarray(s(landmarks))
+        who, cols = np.array(p0).T
+        values[who, cols] = (s_times / np.where(den > 0, den, np.nan)[:, None])[who]
+        totals = den.tolist()
+        for i, j in p0:
+            if not totals[i] > 0:
+                fail(i, j, NotIdentified(f"no terminal mass beyond {landmarks[i]:.6g}"))
+    if dp:
+        who = np.array(list(dp))
+        start = np.searchsorted(model.terminal_measure[0], landmarks[who], side="right")
+        rows, failed = _tail_rows(
+            model, density(model, [queries[i] for i in who], start), start,
+            times[who], landmarks[who],
+        )
+        for r, i in enumerate(who):
+            values[i, dp[i]] = rows[r]
+            if r in failed:
+                fail(i, dp[i][0], failed[r])
+    for k, by_history in single.items():
+        # H1(u, S(t)) / H1(u, S(anchor)) with u = S_k(onset), H1(u, v) = h2(v, u)
+        who = list(by_history)
+        u = np.asarray(model.marginals[k]([by_history[i][0][1] for i in who]))
+        entries = [(r, i, j, anchor) for r, i in enumerate(who) for j, _, anchor in by_history[i]]
+        at, rows, cols, anchors = map(np.array, zip(*entries))
+        cop = model.copula_for(k)
+        numerators = cop.h2(s_times[who], u[:, None])
+        den = cop.h2(np.asarray(s(anchors)), u[at])
+        ratio = numerators[at]
+        ratio /= np.where(den > 0, den, np.nan)[:, None]
+        values[rows, cols] = np.clip(ratio, 0.0, 1.0, out=ratio)
+        for (_, i, j, anchor), total in zip(entries, den.tolist()):
+            if not total > 0:
+                fail(i, j, NotIdentified(f"single-event denominator vanishes at {anchor:.6g}"))
+    return values, {i: exc for i, (_, exc) in errors.items()}
+
+
 def predict_curves(
     query: PredictionQuery, model: FittedJointModel, methods=("DP",), times=None
 ) -> SurvivalPrediction:
@@ -147,71 +385,90 @@ def predict_curves(
     ratio S_D(t)/S_D(landmark)); Pk onset K anchored at its own time; Pkm
     onset K anchored at the landmark.  The curves are the rows of the
     result, on `times` (strictly increasing, past the landmark) or on the
-    default grid.  Methods that coincide share a row: DP is P0 with no
+    default grid.  Methods that coincide give equal rows: DP is P0 with no
     onset and Pk with one, and the Pk and Pkm of one onset share their
     numerator.
     """
-    lm = query.landmark
-    observed = dict(query.events)
-    keys = []  # "P0", "DP" or (onset, anchor), one per method
-    for method in methods:
-        base, k = _parse_method(method)
-        if base == "DP" and query.m < 2:
-            base, k = ("Pk", query.events[0][0]) if query.m else ("P0", None)
-        if k is not None and k not in observed:
-            raise DomainError(f"event {k} not observed in the query")
-        keys.append(base if k is None else (k, lm if base == "Pkm" else observed[k]))
+    keys = _method_keys(query, methods)
+    times = _grid(model, query.landmark, times)
+    values, errors = _curves(model, [query], [keys], times[None], _density_of_one)
+    if errors:
+        raise errors[0]
+    return SurvivalPrediction(times, values[0], tuple(methods), query.landmark)
 
-    atoms, masses = model.terminal.atoms(complete_tail=True)
-    if times is None:
-        times = _default_grid(atoms, lm, model.t_max)  # increasing by construction
-    else:  # cmst, cqst and the intervals read the grid in order
+
+def predict_batch(queries, model: FittedJointModel, methods=("DP",), times=None):
+    """Every history's curves, as `predict_curves` gives them, in chunks of
+    whole subjects (at most about CHUNK_CELLS cells each).
+
+    `methods` is one sequence of method names for every query, or one
+    sequence per query.  `times`, if given, is one strictly increasing grid;
+    each history is evaluated on its part past the landmark.  Otherwise
+    each history has its default grid.
+
+    Yields (index, prediction, failures) per chunk: the positions in
+    `queries` of the histories that predicted, their prediction with
+    leading (subjects, methods) axes (None if there is none), and the
+    exception of each history of the chunk that raised, by position.
+    """
+    queries = list(queries)
+    if not queries:
+        return
+    shared = isinstance(methods[0], str) if len(methods) else True
+    if times is not None:
         times = np.asarray(times, dtype=float)
         if times.size > 1 and not (times[1:] > times[:-1]).all():
             raise DomainError("evaluation times must be strictly increasing")
-    if times.size == 0:
-        raise DomainError("no evaluation time past the landmark")
-    if np.any(times <= lm):
-        raise DomainError("evaluation times must exceed the landmark")
-    if set(keys) != {"DP"}:  # the other rows are ratios of the completed curve
-        s = model.terminal.completed()
-        s_times = np.asarray(s(times))
-    rows, numerators = {}, {}
-    for key in keys:
-        if key in rows:
+    atoms = model.terminal_measure[0]
+    chunk, failures = [], {}
+    longest = n_methods = cells = 0
+    for pos, query in enumerate(queries):
+        mine = tuple(methods) if shared else tuple(methods[pos])
+        lm = query.landmark
+        try:
+            keys = _method_keys(query, mine)
+            grid = _grid(model, lm, None if times is None else times[times > lm])
+        except ArchsurvError as exc:
+            failures[pos] = exc
             continue
-        if key == "P0":
-            den = float(s(lm))
-            if den <= 0:
-                raise NotIdentified(f"no terminal mass beyond {lm:.6g}")
-            rows[key] = s_times / den
-        elif key == "DP":
-            # the terminal mass past each time, weighted by the history's
-            # joint density, over the mass past the landmark
-            past = atoms > lm
-            if not np.any(past):
-                raise NotIdentified(f"no terminal mass beyond landmark {lm:.6g}")
-            weights = q_joint_density(query, atoms[past], model) * masses[past]
-            den = float(weights.sum())
-            if not den > 0:
-                raise NotIdentified("denominator integral vanished")
-            tail = np.concatenate([np.cumsum(weights[::-1])[::-1][1:], [0.0]])
-            rows[key] = np.clip(step_lookup(atoms[past], tail / den, times), 0.0, 1.0)
-        else:
-            k, anchor = key
-            cop = model.copula_for(k)
-            u = float(model.marginals[k](observed[k]))
-            if k not in numerators:  # H1(u, S(t)) = h2(S(t), u)
-                numerators[k] = cop.h2(s_times, np.full(times.size, u))
-            den = cop.h2(float(s(anchor)), u)
-            if den <= 0:
-                raise NotIdentified(
-                    f"single-event denominator vanishes at {anchor:.6g}"
-                )
-            rows[key] = np.clip(numerators[k] / den, 0.0, 1.0)
-    return SurvivalPrediction(
-        times, np.array([rows[key] for key in keys]), tuple(methods), lm
+        past = atoms.size - np.searchsorted(atoms, lm, side="right") if "DP" in keys else 0
+        wide, many = max(longest, grid.size), max(n_methods, len(keys))
+        more = cells + past * model.k
+        if chunk and (len(chunk) + 1) * wide * many + more > CHUNK_CELLS:
+            yield _finish(model, chunk, failures)
+            chunk, failures = [], {}
+            wide, many, more = grid.size, len(keys), past * model.k
+        chunk.append((pos, query, mine, keys, grid))
+        longest, n_methods, cells = wide, many, more
+    if chunk or failures:
+        yield _finish(model, chunk, failures)
+
+
+def _finish(model, chunk, failures):
+    """One chunk of `predict_batch`: its curves, then its yielded triple."""
+    if not chunk:
+        return np.array([], dtype=int), None, failures
+    positions, queries, methods, keys, grids = zip(*chunk)
+    sizes = np.array([g.size for g in grids])
+    inside = np.arange(sizes.max()) < sizes[:, None]
+    times = np.empty(inside.shape)
+    times[inside] = np.concatenate(grids)
+    # the curves past a grid's end are its last value: evaluate them there
+    last = times[np.arange(sizes.size), sizes - 1]
+    times = np.where(inside, times, last[:, None])
+    values, errors = _curves(model, queries, list(keys), times, _density_of_many)
+    for i, exc in errors.items():
+        failures[positions[i]] = exc
+    ok = np.array([i for i in range(sizes.size) if i not in errors], dtype=int)
+    if not ok.size:
+        return ok, None, failures
+    if errors:
+        values, times, inside = values[ok], times[ok], inside[ok]
+    pred = SurvivalPrediction(
+        np.where(inside, times, np.inf), values,
+        tuple(methods[i] for i in ok), np.array([q.landmark for q in queries])[ok],
     )
+    return np.array(positions)[ok], pred, failures
 
 
 def _one_curve(query, model, method, times):
@@ -253,40 +510,69 @@ def predict_baseline(
     return _one_curve(query, model, method, times)
 
 
+def _as_batch(pred):
+    """(times, values, landmarks) of any prediction with leading subject and
+    method axes: subjects x grid, subjects x methods x grid, subjects."""
+    times = np.atleast_2d(pred.times)
+    values = pred.values.reshape(times.shape[:1] + (-1,) + times.shape[1:])
+    landmarks = np.broadcast_to(np.asarray(pred.landmark, dtype=float), times.shape[:1])
+    return times, values, landmarks
+
+
 def _per_curve(pred, rows):
-    """One entry per curve of the prediction, or a float for a single curve."""
-    return rows if pred.values.ndim == 2 else float(rows[0])
+    """rows (subjects x methods) shaped as the prediction's curves: as they
+    are for a batch, one per method, or a float for a single curve."""
+    if pred.values.ndim == 3:
+        return rows
+    return rows[0] if pred.values.ndim == 2 else rows[0, 0].item()
 
 
 def cmst(pred: SurvivalPrediction, t_u_star: float):
     """Conditional restricted mean survival time: landmark plus the
     trapezoid integral of the predicted curve up to the restriction time."""
-    lm = pred.landmark
-    if t_u_star < lm:
+    times, values, lm = _as_batch(pred)
+    if np.any(t_u_star < lm):
         raise DomainError("restriction time must not precede the landmark")
-    grid = pred.times[(pred.times > lm) & (pred.times < t_u_star)]
-    ts = np.concatenate([[lm], grid, [t_u_star]])
-    if ts.size > 2:
-        gap = np.diff(ts).max()
-        if gap > COARSE_GRID_FRACTION * max(t_u_star - lm, 1e-300):
-            warnings.warn(
-                f"prediction grid spacing {gap:.3g} is coarse for the "
-                f"restriction window [{lm:.3g}, {t_u_star:.3g}]"
-            )
-    # one C-ordered row per curve: numpy sums each row as it sums one curve
-    vs = np.ones((np.atleast_2d(pred.values).shape[0], ts.size))
-    vs[:, 1:] = pred.at(ts[1:])
-    return _per_curve(pred, lm + np.trapezoid(vs, ts, axis=1))
+    # a subject integrates over [lm, its grid times in (lm, t*), t*]; its
+    # times clipped to [lm, t*] add zero-width steps before and after them
+    below = np.count_nonzero(times <= lm[:, None], axis=1)
+    inside = np.count_nonzero((times > lm[:, None]) & (times < t_u_star), axis=1)
+    ts = np.concatenate(
+        [lm[:, None], np.clip(times, lm[:, None], t_u_star), np.full_like(lm, t_u_star)[:, None]],
+        axis=1,
+    )
+    vs = np.empty(values.shape[:2] + ts.shape[1:])
+    vs[..., 0] = 1.0
+    vs[..., -1:] = _lookup(times, values, np.array([t_u_star]))
+    vs[..., 1:-1] = values
+    np.copyto(vs[..., 1:-1], vs[..., -1:], where=times[:, None, :] >= t_u_star)
+    np.copyto(vs[..., 1:-1], 1.0, where=times[:, None, :] <= lm[:, None, None])
+    d = np.diff(ts, axis=1)
+    gap = d.max(axis=1)
+    for i in np.flatnonzero(
+        (inside > 0) & (gap > COARSE_GRID_FRACTION * np.maximum(t_u_star - lm, 1e-300))
+    ):
+        warnings.warn(
+            f"prediction grid spacing {gap[i]:.3g} is coarse for the "
+            f"restriction window [{lm[i]:.3g}, {t_u_star:.3g}]"
+        )
+    # one subject's steps in order, as np.trapezoid takes them:
+    # d * (v[1:] + v[:-1]) / 2
+    steps = vs[..., 1:] + vs[..., :-1]
+    steps *= d[:, None, :]
+    steps /= 2.0
+    return _per_curve(pred, lm[:, None] + _row_sums(steps, below, below + inside + 1))
 
 
 def _quantile_times(pred, level):
     """First grid time at which each curve falls to 1 - level; NaN where the
-    curve ends at or above that value (so the quantile lies past the grid)."""
-    v = np.atleast_2d(pred.values)
-    s_end = v[:, -1]
+    curve ends at or above that value (so the quantile lies past the grid).
+    subjects x methods."""
+    times, v, _ = _as_batch(pred)
+    s_end = v[..., -1]
     hit = v <= 1.0 - level
-    reached = hit.any(axis=1) & ~((level >= 1.0 - s_end) & (s_end > 0.0))
-    return np.where(reached, pred.times[hit.argmax(axis=1)], np.nan)
+    reached = hit.any(axis=-1) & ~((level >= 1.0 - s_end) & (s_end > 0.0))
+    return np.where(reached, np.take_along_axis(times, hit.argmax(axis=-1), axis=1), np.nan)
 
 
 def cqst(pred: SurvivalPrediction, tau_level: float):
@@ -296,7 +582,7 @@ def cqst(pred: SurvivalPrediction, tau_level: float):
     if not 0.0 < tau_level < 1.0:
         raise DomainError("quantile level must lie in (0, 1)")
     q = _quantile_times(pred, tau_level)
-    if pred.values.ndim == 1 and np.isnan(q[0]):
+    if pred.values.ndim == 1 and np.isnan(q[0, 0]):
         s_end = pred.values[-1]
         raise NotIdentified(f"quantile {tau_level} not reached (curve ends at {s_end:.4g})")
     return _per_curve(pred, q)
@@ -322,19 +608,20 @@ def prediction_interval(pred: SurvivalPrediction, t_u_star: float = None):
     """Central 95% interval from the quantile survival times.
 
     When the upper level is out of reach the bound is right-censored at the
-    restriction time and flagged.  For several curves the interval holds one
-    entry per curve; a lower level out of reach on any curve raises
-    NotIdentified.
+    restriction time (by default each grid's last time) and flagged.  For
+    several curves the interval holds one entry per curve; a lower level
+    out of reach on any curve raises NotIdentified.
     """
     lo_level, hi_level = INTERVAL_LEVELS
     lo = _quantile_times(pred, lo_level)
     if np.isnan(lo).any():
         raise NotIdentified(f"quantile {lo_level} not reached")
     if t_u_star is None:
-        t_u_star = float(pred.times[-1])
+        times = _as_batch(pred)[0]
+        t_u_star = np.max(times, axis=1, where=np.isfinite(times), initial=-np.inf)[:, None]
     hi = _quantile_times(pred, hi_level)
     censored = np.isnan(hi)
     hi = np.where(censored, t_u_star, hi)
-    if pred.values.ndim == 2:
-        return PredictionInterval(lo, hi, censored)
-    return PredictionInterval(float(lo[0]), float(hi[0]), bool(censored[0]))
+    if pred.values.ndim == 1:
+        return PredictionInterval(float(lo[0, 0]), float(hi[0, 0]), bool(censored[0, 0]))
+    return PredictionInterval(*(_per_curve(pred, x) for x in (lo, hi, censored)))

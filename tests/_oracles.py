@@ -256,3 +256,88 @@ def reference_brier_curve(curves, times, y, dtilde, landmarks, s_c):
         resid = ((y > t).astype(float) - curves[:, j]) ** 2
         out[j] = np.sum(w * active * resid) / y.size
     return out
+
+
+# ---------------------------------------------------------------------------
+# Time-dependent AUC with the whole (cases x controls) weight matrix, and the
+# evaluation driver predicting one subject at a time: the package counts
+# weighted ranks and predicts subjects in batches, and must agree with these
+# to rounding.
+
+
+def reference_auc_t(curves_at_t, y, dtilde, landmarks, s_c, t):
+    from archsurv.errors import NoComparablePairs
+    from archsurv.metrics import ipcw_weights_at
+
+    s_vals = np.asarray(curves_at_t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    landmarks = np.asarray(landmarks, dtype=float)
+    w = ipcw_weights_at(y, dtilde, s_c, t) * (t > landmarks)
+    case = (y <= t) & (w > 0)
+    ctrl = (y > t) & (w > 0)
+    if not case.any() or not ctrl.any():
+        raise NoComparablePairs(f"no case/control pair at t={t}")
+    wi = w[case][:, None] * w[ctrl][None, :]
+    rows = np.atleast_2d(s_vals)
+    wins = [
+        np.sum(wi * ((si[:, None] < sj) + 0.5 * (si[:, None] == sj)))
+        for si, sj in zip(rows[:, case], rows[:, ctrl])
+    ]
+    return (np.reshape(wins, s_vals.shape[:-1]) / np.sum(wi)).tolist()
+
+
+def reference_evaluate(model, data, config, d_true=None, methods=None):
+    """`evaluate_model` with one `predict_curves` call and one call of each
+    summary per subject."""
+    from dataclasses import replace
+
+    from archsurv import metrics as M
+    from archsurv.errors import NoComparablePairs, NotIdentified
+    from archsurv.marginals import censoring_km
+    from archsurv.predict import cmst, cqst, predict_curves, prediction_interval
+
+    methods = M.DEFAULT_METHODS if methods is None else methods
+    s_c = censoring_km(data)
+    t_star = min(config.t_u_star, model.t_max)
+    cfg = replace(config, t_u_star=t_star)
+    grid = cfg.grid()
+    usable, landmarks, cmsts, cqsts, intervals, curves = [], [], [], [], [], []
+    for i in range(data.n):
+        q = M.subject_query(data, i)
+        if q.landmark >= model.t_max or q.landmark > t_star:
+            continue
+        try:
+            pred = predict_curves(q, model, [M._method_for(m, q, model.k) for m in methods])
+        except NotIdentified:
+            continue
+        usable.append(i)
+        landmarks.append(q.landmark)
+        cmsts.append(cmst(pred, t_star))
+        cqsts.append(cqst(pred, cfg.qpe_tau))
+        iv = prediction_interval(pred, t_u_star=t_star)
+        intervals.append((iv.lo, iv.hi, iv.hi_censored))
+        curves.append(pred.at(grid))
+    idx = np.array(usable)
+    y, dtilde = data.y[idx], data.dtilde[idx]
+    d_true = None if d_true is None else np.asarray(d_true)[idx]
+    cmsts = np.stack(cmsts, axis=1)
+    cqsts = np.nan_to_num(np.stack(cqsts, axis=1), nan=t_star)
+    intervals = M.PredictionInterval(*(np.stack(col, axis=1) for col in zip(*intervals)))
+    curves = np.stack(curves, axis=1)
+    mspe, qpe, _ = M.point_errors(cmsts, cqsts, cfg, d_true=d_true, y=y, dtilde=dtilde, s_c=s_c)
+    bs = M.brier_curve(curves, grid, y, dtilde, landmarks, s_c)
+    auc = np.full(bs.shape, np.nan)
+    for g, t in enumerate(grid):
+        try:
+            auc[:, g] = reference_auc_t(curves[..., g], y, dtilde, landmarks, s_c, t)
+        except NoComparablePairs:
+            pass
+    truth = np.minimum(y if d_true is None else d_true, t_star)
+    cp, mid, flagged = M.interval_metrics(truth, intervals)
+    ibs = M.integrated_brier(bs, grid, t_star)
+    columns = zip(methods, mspe, qpe, ibs, bs, auc, cp, mid, flagged)
+    n_skipped = data.n - idx.size
+    return {
+        name: M.MethodReport(name, *scores, n_skipped=n_skipped)
+        for name, *scores in columns
+    }

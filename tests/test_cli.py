@@ -296,6 +296,106 @@ def test_predict_bad_number_flags_exit_2(workdir, tmp_path, flags):
     assert exc.value.code == 2
 
 
+def _one_history_files(model, ids, queries, flags):
+    """The lines (past the provenance line) of the curve and summary CSVs
+    of `archsurv predict`, from one predict_curves call per history."""
+    from archsurv.cli import _methods_for
+    from archsurv.predict import cmst, cqst, predict_curves, prediction_interval
+
+    opts = dict(zip(flags[::2], flags[1::2]))
+    method = opts.get("--method", "all")
+    levels = [float(x) for x in opts.get("--cqst-levels", "0.025,0.5,0.975").split(",")]
+    times = np.array([float(x) for x in opts["--times"].split(",")]) if "--times" in opts else None
+    t_u_star = float(opts.get("--t-u-star", model.t_max))
+    fmt = lambda x: repr(float(x))  # noqa: E731
+    curves = ["id,method,t,survival"]
+    summary = [
+        "id,method,landmark,cmst," + ",".join(f"cqst_{lv}" for lv in levels)
+        + ",interval_lo,interval_hi,hi_censored"
+    ]
+    for rid, q in zip(ids, queries):
+        methods = _methods_for(q, method)
+        own = None if times is None else times[times > q.landmark]
+        pred = predict_curves(q, model, methods, own)
+        quantiles = [cqst(pred, lv) for lv in levels]
+        iv = prediction_interval(pred, t_u_star=t_u_star)
+        mean = cmst(pred, t_u_star)
+        for j, m in enumerate(methods):
+            curves += [f"{rid},{m},{fmt(t)},{fmt(v)}" for t, v in zip(pred.times, pred.values[j])]
+            summary.append(",".join([
+                rid, m, fmt(q.landmark), fmt(mean[j]),
+                *("" if np.isnan(at[j]) else fmt(at[j]) for at in quantiles),
+                fmt(iv.lo[j]), fmt(iv.hi[j]), str(int(iv.hi_censored[j])),
+            ]))
+    return curves, summary
+
+
+PREDICT_HISTORIES = [
+    (), ((0, 0.4),), ((1, 1.3),), ((0, 0.4), (1, 0.8)), ((0, 2.5), (1, 0.1)), ((1, 4.0),),
+]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--method", "DP"],
+        ["--method", "Pkm:1", "--times", "0.5,1,2,3,4,6,8"],
+        ["--times", "0.3,0.9,1.7,2.2,3.5,5,7.5", "--t-u-star", "9", "--cqst-levels", "0.1,0.5"],
+    ],
+)
+@pytest.mark.filterwarnings("ignore:prediction grid spacing")
+def test_predict_files_equal_one_history_reference(workdir, tmp_path, flags, monkeypatch):
+    # the batched command writes the curve and summary files byte for byte
+    # as one prediction per history does; the query file holds the held-out
+    # subjects' histories and some fixed ones, m = 0, 1 and 2, and chunks
+    # hold a few histories each
+    from archsurv.likelihood import FittedJointModel
+
+    monkeypatch.setattr("archsurv.predict.CHUNK_CELLS", 3000)
+
+    tmp, _ = workdir
+    model = FittedJointModel.load(tmp / "model.json")
+    test = read_data_csv(tmp / "test.csv")
+    queries = [
+        PredictionQuery(tuple((k, float(test.t[i, k])) for k in range(2) if test.delta[i, k]))
+        for i in range(test.n)
+    ] + [PredictionQuery(ev) for ev in PREDICT_HISTORIES]
+    if "--method" in flags:  # a history without onset 1 has no Pkm:1
+        queries = [q for q in queries if 0 in dict(q.events) or flags[1] == "DP"]
+    ids = [f"s{i}" for i in range(len(queries))]
+    qpath = tmp_path / "q.csv"
+    write_query_csv(qpath, queries, k=2, ids=ids)
+    out, summ = tmp_path / "p.csv", tmp_path / "s.csv"
+    assert run_cli(["predict", "--model", tmp / "model.json", "--queries", qpath,
+                    "--out", out, "--summary-out", summ, *flags]) == 0
+    curves, summary = _one_history_files(model, ids, queries, flags)
+    assert out.read_text().splitlines()[1:] == curves
+    assert summ.read_text().splitlines()[1:] == summary
+    assert len(summary) > len(queries)
+
+
+def test_predict_exits_4_at_the_first_failing_subject(workdir, tmp_path, capsys):
+    tmp, _ = workdir
+    from archsurv.likelihood import FittedJointModel
+
+    t_max = FittedJointModel.load(tmp / "model.json").t_max
+    histories = [(), ((0, 0.4),), ((0, t_max + 1.0),), ((1, 0.5),), ((1, t_max),)]
+    qpath = tmp_path / "q.csv"
+    write_query_csv(qpath, [PredictionQuery(ev) for ev in histories], k=2,
+                    ids=["a", "b", "late", "c", "later"])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["predict", "--model", tmp / "model.json", "--queries", qpath,
+                 "--out", tmp_path / "p.csv"])
+    assert exc.value.code == 4
+    assert "subject late: landmark" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["predict", "--model", tmp / "model.json", "--queries", qpath,
+                 "--out", tmp_path / "p.csv", "--method", "Pk:9"])
+    assert exc.value.code == 4
+    assert "subject a: event 8 not observed" in capsys.readouterr().err
+
+
 def test_predict_reload_identical(workdir, tmp_path):
     tmp, _ = workdir
     from archsurv.likelihood import FittedJointModel

@@ -24,7 +24,12 @@ from archsurv.metrics import (
 from archsurv.predict import PredictionInterval
 from archsurv.simulate import ex1_config, ex2_config, simulate_dataset
 from archsurv.survival import StepSurvival, kaplan_meier
-from tests._oracles import reference_brier_curve, reference_ipcw_weights_at
+from tests._oracles import (
+    reference_auc_t,
+    reference_brier_curve,
+    reference_evaluate,
+    reference_ipcw_weights_at,
+)
 
 FLAT_SC = StepSurvival([1e12], [1.0], t_max=1e12)  # no censoring
 
@@ -135,6 +140,27 @@ def test_auc_requires_both_groups():
     y = np.array([1.0, 2.0])
     with pytest.raises(NoComparablePairs):
         auc_t(np.array([0.3, 0.4]), y, np.ones(2, int), np.zeros(2), FLAT_SC, t=5.0)
+
+
+@pytest.mark.parametrize("ipcw", [False, True])
+def test_auc_rank_count_equals_pair_matrix(ipcw):
+    # the weighted rank count against the (cases x controls) weight matrix:
+    # scores on a coarse lattice tie heavily, within and across methods
+    rng = np.random.default_rng(8)
+    n = 300
+    y = rng.exponential(size=n) * 4
+    dt = (rng.uniform(size=n) < 0.7).astype(int)
+    lms = np.where(rng.uniform(size=n) < 0.3, rng.uniform(0, 2, size=n), 0.0)
+    s_c = kaplan_meier(y, 1 - dt) if ipcw else FLAT_SC
+    scores = np.round(rng.uniform(size=(4, n)) * 6) / 6
+    scores[3] = 0.5  # every pair tied
+    for t in np.quantile(y, [0.1, 0.3, 0.5, 0.7, 0.9]):
+        got = auc_t(scores, y, dt, lms, s_c, t)
+        want = reference_auc_t(scores, y, dt, lms, s_c, t)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert got[3] == pytest.approx(0.5, abs=1e-12)
+        one = auc_t(scores[0], y, dt, lms, s_c, t)
+        assert isinstance(one, float) and abs(one - want[0]) <= 1e-12
 
 
 def test_interval_metrics_hand_cases():
@@ -283,6 +309,27 @@ def test_oracle_predictions_score_zero(fitted_setup):
     truth = np.minimum(res.latent_train.d, cfg.t_u_star)
     mspe, qpe, _ = point_errors(truth, truth, cfg, d_true=res.latent_train.d)
     assert mspe == 0.0 and qpe == 0.0
+
+
+@pytest.mark.parametrize("ipcw", [False, True])
+def test_evaluate_reports_equal_per_subject_reference(fitted_setup, ipcw):
+    # the batched driver against one predict_curves call per subject; at
+    # t* = 2 the subjects with a later landmark are skipped
+    res, model = fitted_setup
+    cfg = MetricConfig(t_u_star=2.0, n_grid=30, ipcw=ipcw)
+    d_true = None if ipcw else res.latent_train.d
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = evaluate_model(model, res.train, cfg, d_true=d_true)
+        want = reference_evaluate(model, res.train, cfg, d_true=d_true)
+    assert got["DP"].n_skipped > 0
+    for name, rep in want.items():
+        a, b = got[name].to_dict(), rep.to_dict()
+        for key in ("mspe", "qpe", "ibs", "cp", "mid", "bs_curve"):
+            assert np.allclose(a[key], b[key], rtol=0.0, atol=1e-12), (name, key)
+        auc_a, auc_b = (np.array(x["auc_curve"], dtype=float) for x in (a, b))
+        assert np.allclose(auc_a, auc_b, rtol=0.0, atol=1e-12, equal_nan=True)
+        assert (a["n_flagged"], a["n_skipped"]) == (b["n_flagged"], b["n_skipped"])
 
 
 def test_subject_query_extraction():

@@ -2,6 +2,7 @@
 oracles, summary functionals."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import integrate
 
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
 from archsurv import predict
-from archsurv.errors import ConfigError, DomainError, NotIdentified
+from archsurv.errors import ArchsurvError, ConfigError, DomainError, NotIdentified
 from archsurv.likelihood import FittedJointModel
 from archsurv.marginals import PairwiseAssociation, WeightSpec
 from archsurv.predict import (
@@ -18,6 +19,7 @@ from archsurv.predict import (
     cmst,
     cqst,
     predict_baseline,
+    predict_batch,
     predict_curves,
     predict_survival_dp,
     prediction_interval,
@@ -456,6 +458,182 @@ def test_summaries_reduce_rows_with_nan_for_unreached_quantiles():
         for j in range(2):
             one = SurvivalPrediction(ts, vals[j], "x", 1.0)
             assert means[j] == cmst(one, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# many histories at once
+
+
+BATCH_HISTORIES = [
+    (), ((1, 0.7),), ((0, 2.0),), ((0, 0.4), (2, 1.1)), ((0, 0.3), (1, 0.7), (2, 1.2)),
+    ((1, 4.0), (2, 9.5)), ((0, 12.0), (1, 0.2), (2, 6.0)), ((2, 0.05),),
+    # past the last terminal atom (20): not identified inside a chunk
+    ((0, 21.0),), ((0, 1.0), (1, 21.0)), ((0, 1.0), (1, 22.0), (2, 2.0)),
+    # at the end of follow-up: not identified before any chunk
+    ((0, 25.0), (1, 3.0)),
+]
+
+
+def with_dead_tail(model, t_end):
+    """The model with its terminal curve dropping to 0 at t_end < t_max."""
+    term = model.terminal
+    keep = term.times <= t_end
+    values = term.values[keep].copy()
+    values[-1] = 0.0
+    return dataclasses.replace(
+        model, terminal=StepSurvival(term.times[keep], values, t_max=term.t_max)
+    )
+
+
+def _all_methods(q):
+    return ["DP", "P0"] + [f"{base}:{k + 1}" for k, _ in q.events for base in ("Pk", "Pkm")]
+
+
+def _batch_outcomes(queries, model, methods, times=None):
+    """{position: its own SurvivalPrediction or its exception}, and the
+    number of chunks."""
+    seen, chunks = {}, 0
+    for index, pred, failures in predict_batch(queries, model, methods, times):
+        chunks += 1
+        assert not set(failures) & set(seen)
+        seen.update(failures)
+        for r, pos in enumerate(index):
+            seen[pos] = pred.subject(r)
+    return seen, chunks
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+@pytest.mark.parametrize("default_grid", [True, False])
+def test_batch_rows_equal_one_query_curves(family, default_grid, monkeypatch):
+    # each history's rows from predict_batch against predict_curves alone:
+    # m = 0..3, ragged method lists, histories that are not identified
+    # reported one by one, and a chunk budget of a few histories per chunk
+    model = with_dead_tail(injected_model(family=family, n_grid=400), 20.0)
+    queries = [PredictionQuery(ev) for ev in BATCH_HISTORIES * 3]
+    methods = [_all_methods(q) for q in queries]
+    times = None if default_grid else np.linspace(0.02, 24.0, 90)
+    monkeypatch.setattr(predict, "CHUNK_CELLS", 20_000 if default_grid else 3_000)
+    seen, chunks = _batch_outcomes(queries, model, methods, times)
+    assert chunks >= 6
+    assert sorted(seen) == list(range(len(queries)))
+    failed = 0
+    for pos, q in enumerate(queries):
+        own = None if times is None else times[times > q.landmark]
+        try:
+            one = predict_curves(q, model, methods[pos], own)
+        except ArchsurvError as exc:
+            assert type(seen[pos]) is type(exc) and str(seen[pos]) == str(exc)
+            failed += isinstance(exc, NotIdentified)
+            continue
+        got = seen[pos]
+        assert got.method == tuple(methods[pos]) and got.landmark == q.landmark
+        assert np.array_equal(got.times, one.times)
+        assert np.allclose(got.values, one.values, rtol=1e-12, atol=0.0)
+    assert failed == 3 * (4 if default_grid else 3)
+
+
+def test_batch_takes_one_method_list_for_all_and_reports_bad_methods():
+    model = injected_model(n_grid=400)
+    queries = [PredictionQuery(ev) for ev in BATCH_HISTORIES[:5]]
+    seen, _ = _batch_outcomes(queries, model, ("DP", "P0"))
+    for pos, q in enumerate(queries):
+        assert np.array_equal(seen[pos].values, predict_curves(q, model, ("DP", "P0")).values)
+    seen, _ = _batch_outcomes(queries, model, ("Pk:2",))
+    assert [type(seen[pos]).__name__ for pos in range(5)] == [
+        "DomainError", "SurvivalPrediction", "DomainError", "DomainError", "SurvivalPrediction"
+    ]
+    seen, _ = _batch_outcomes(queries, model, ("Pk:x",))
+    assert all(isinstance(seen[pos], ConfigError) for pos in range(5))
+    with pytest.raises(DomainError, match="strictly increasing"):
+        list(predict_batch(queries, model, ("DP",), times=[2.0, 1.0]))
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_history_cells_density_equals_q_joint_density(family):
+    # the cells of many histories give each history's density bit for bit
+    model = injected_model(family=family, n_grid=400)
+    queries = [PredictionQuery(ev) for ev in BATCH_HISTORIES[3:8]]
+    atoms = model.terminal_measure[0]
+    start = np.searchsorted(atoms, [q.landmark for q in queries], side="right")
+    many = predict._density_of_many(model, queries, start)
+    for i, (q, first) in enumerate(zip(queries, start)):
+        assert np.all(many[i, :first] == 0.0)
+        assert np.array_equal(many[i, first:], q_joint_density(q, atoms[first:], model))
+
+
+@pytest.mark.parametrize("default_grid", [True, False])
+def test_batch_summaries_equal_one_history_summaries(default_grid, monkeypatch):
+    # cmst, cqst, prediction_interval and at over (subjects, methods) rows
+    # against the same calls on each history's own prediction, bit for bit;
+    # on the coarse supplied grid cmst warns once per history
+    model = with_dead_tail(injected_model(n_grid=400), 20.0)
+    queries = [PredictionQuery(ev) for ev in BATCH_HISTORIES[:8]]
+    methods = [_all_methods(q) for q in queries]
+    times = None if default_grid else np.linspace(0.0, 24.0, 9)[1:]
+    monkeypatch.setattr(predict, "CHUNK_CELLS", 20_000 if default_grid else 200)
+    grid = np.linspace(0.0, 20.0, 41)
+    parts = warned = 0
+    for index, pred, _ in predict_batch(queries, model, methods, times):
+        parts += 1
+        with warnings.catch_warnings(record=True) as batch_warnings:
+            warnings.simplefilter("always")
+            means = cmst(pred, 13.0)
+        medians = cqst(pred, 0.5)
+        iv = prediction_interval(pred, t_u_star=13.0)
+        default_iv = prediction_interval(pred)
+        values = pred.at(grid)
+        assert means.shape == medians.shape == iv.lo.shape == pred.values.shape[:2]
+        assert values.shape == pred.values.shape[:2] + grid.shape
+        for r in range(index.size):
+            one = pred.subject(r)
+            n = len(one.method)
+            with warnings.catch_warnings(record=True) as own:
+                warnings.simplefilter("always")
+                assert np.array_equal(means[r, :n], cmst(one, 13.0))
+            # one warning per history whose own grid is coarse, in order
+            if own:
+                assert str(own[0].message) == str(batch_warnings.pop(0).message)
+                warned += 1
+            assert np.array_equal(medians[r, :n], cqst(one, 0.5), equal_nan=True)
+            own_iv = prediction_interval(one, t_u_star=13.0)
+            for name in ("lo", "hi", "hi_censored"):
+                assert np.array_equal(getattr(iv, name)[r, :n], getattr(own_iv, name))
+            own_iv = prediction_interval(one)
+            assert np.array_equal(default_iv.hi[r, :n], own_iv.hi)
+            assert np.array_equal(values[r, :n], one.at(grid))
+        assert not batch_warnings
+    assert parts >= 2
+    # (the history with landmark 12 has no grid time in (12, 13): no warning)
+    assert warned == (0 if default_grid else 7)
+
+
+def test_batch_memory_is_bounded():
+    # 1,400 held-out histories with evaluate's six methods: their curves in
+    # one (subjects x methods x grid) array, with its temporaries, peak at
+    # about 58 MB here; chunks of CHUNK_CELLS cells at about 2 MB
+    import tracemalloc
+
+    from archsurv.likelihood import fit_joint_model
+    from archsurv.metrics import DEFAULT_METHODS, _method_for, subject_query
+    from archsurv.simulate import ex1_config, simulate_dataset
+
+    res = simulate_dataset(
+        ex1_config(k=3, tau_alpha=0.2, censor_upper=5.0, n_train=200, n_test=1400, seed=0)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_joint_model(res.train, "frank")
+    queries = [subject_query(res.test, i) for i in range(res.test.n)]
+    names = [[_method_for(m, q, model.k) for m in DEFAULT_METHODS] for q in queries]
+    model.terminal_measure  # computed once per model, outside the peak
+    tracemalloc.start()
+    try:
+        predicted = sum(index.size for index, _, _ in predict_batch(queries, model, names))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert predicted == 1400
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
