@@ -177,8 +177,11 @@ def cmd_predict(args):
     if not all(0.0 < lv < 1.0 for lv in levels):
         raise ConfigError(f"--cqst-levels must lie in (0, 1), got {args.cqst_levels}")
     times_flag = np.array(_float_list(args.times, "--times")) if args.times else None
-    if times_flag is not None and not np.all(np.diff(times_flag) > 0):
-        raise ConfigError(f"--times must be strictly increasing, got {args.times}")
+    # predict_batch raises DomainError, which main does not catch, for these
+    if times_flag is not None and not (
+        np.isfinite(times_flag).all() and np.all(np.diff(times_flag) > 0)
+    ):
+        raise ConfigError(f"--times must be finite and strictly increasing, got {args.times}")
     header = provenance_line("predict", args.seed, "-")
     curve_rows, summary_rows = [], []
     methods = [_methods_for(q, args.method) for q in queries]

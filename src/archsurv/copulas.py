@@ -345,13 +345,12 @@ class ArchimedeanCopula:
         out.clip(0.0, 1.0, out=out)
         return out if out.ndim else float(out)
 
-    def partials(self, u, v, h1=True):
-        """(H1, H2, H12): first partials in u and v and the mixed partial.
+    def partials(self, u, v):
+        """(H2, H12): the first partial in v and the mixed partial.
 
-        H1 and H2 carry the conditional-survival interpretation and live in
+        H2 carries the conditional-survival interpretation and lives in
         [0, 1]; H12 is the copula density factor and is non-negative.  A
-        caller that reads one of H1, H2 calls `h2` instead; one that reads
-        H2 and H12 passes h1=False and gets None for H1.
+        caller that reads H2 alone calls `h2`; H1(u, v) is h2(v, u).
         """
         uc, vc = _clamp_unit(u), _clamp_unit(v)
         th = self.theta
@@ -359,7 +358,6 @@ class ArchimedeanCopula:
             if self.family == "clayton":
                 la = self._clayton_log_a(uc, vc)
                 lu, lv = np.log(uc), np.log(vc)
-                h1 = self._clayton_h2(la, lu) if h1 else None
                 h2 = self._clayton_h2(la, lv)
                 h12 = (1.0 + th) * np.exp(
                     -(2.0 + 1.0 / th) * la - (th + 1.0) * (lu + lv)
@@ -370,7 +368,6 @@ class ArchimedeanCopula:
                 beta = 1.0 / th
                 lu, lv = np.log(uc), np.log(vc)
                 llx, lly = np.log(-lu), np.log(-lv)
-                h1 = self._gumbel_h2(lt, s, llx, lu) if h1 else None
                 h2 = self._gumbel_h2(lt, s, lly, lv)
                 h12 = (
                     th
@@ -386,15 +383,13 @@ class ArchimedeanCopula:
                     np.expm1(-th),
                 )
                 denom = e1 + eu * ev
-                h1 = self._frank_h2(ev, uc, denom) if h1 else None
                 h2 = self._frank_h2(eu, vc, denom)
                 h12 = -th * np.exp(-th * (uc + vc)) * e1 / denom**2
-        h1 = None if h1 is None else np.clip(h1, 0.0, 1.0)
         h2 = np.clip(h2, 0.0, 1.0)
         h12 = np.maximum(h12, 0.0)
         if h2.ndim == 0:
-            return None if h1 is None else float(h1), float(h2), float(h12)
-        return h1, h2, h12
+            return float(h2), float(h12)
+        return h2, h12
 
     # -- frailty --------------------------------------------------------------
 

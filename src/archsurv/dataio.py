@@ -141,7 +141,10 @@ def read_latent_csv(path):
         raise ConfigError(f"{path}: expected header id,d,tt1..ttK")
 
     def parse(row):
-        return row[0], float(row[1]), [float(c) if c != "" else np.inf for c in row[2:]]
+        d, onset = float(row[1]), [float(c) if c != "" else np.inf for c in row[2:]]
+        if not 0.0 <= d < np.inf or np.isnan(onset).any():
+            raise ValueError("death time must be finite and non-negative, onsets not NaN")
+        return row[0], d, onset
 
     ids, d, onset = zip(*_parse_rows(path, rows, parse))
     return np.array(ids), np.asarray(d), np.asarray(onset)

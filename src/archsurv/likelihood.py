@@ -82,8 +82,7 @@ def onset_partials(marginal: StepSurvival, cop: ArchimedeanCopula, t_onset, v):
     """(G, H12) at (S_k(t_onset), v): G = H2 is the survival of onset k past
     t_onset given death where S_D = v, and H12 the copula density factor.
     The density of an observed onset is H12 * (-S_k'(t_onset))."""
-    _, g, h12 = cop.partials(np.asarray(marginal(t_onset)), np.asarray(v), h1=False)
-    return g, h12
+    return cop.partials(np.asarray(marginal(t_onset)), np.asarray(v))
 
 
 def cell_log_terms(cop_alpha: ArchimedeanCopula, g, obs, log_w, d_groups):

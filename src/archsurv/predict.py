@@ -6,20 +6,20 @@ the fitted copulas: a Kaplan-Meier ratio with no history, a copula partial
 ratio with one onset, and for two or more onsets a ratio of Stieltjes
 integrals of the joint onset density against the terminal curve.  Landmark
 baselines that use less of the history are provided for comparison, along
-with restricted-mean and quantile summaries of the predicted curve.
+with restricted-mean and quantile summaries of the predicted curves.
 
 `predict_curves` predicts every requested method for one history on one
-grid.  `predict_batch` predicts many histories in chunks of whole subjects:
-the terminal atoms past every landmark of a chunk are the cells of one
-density array, and the single-onset rows of a chunk one copula call per
-onset.  Both assemble their rows with the same code, so a history's rows
+grid, one row per method.  `predict_batch` predicts many histories in
+chunks of whole subjects: the terminal atoms past every landmark of a chunk
+are the cells of one density array, and the single-onset rows of a chunk
+one copula call per onset.  Both assemble their rows with the same code, so a history's rows
 are the same either way.  Each summary reduces all the curves of a
-prediction at once, a batch's (subjects, methods) rows included.
+prediction at once: one entry per method row, or per (subject, method) row
+of a batch.
 """
 
 from __future__ import annotations
 
-import traceback
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ArchsurvError, ConfigError, DomainError, NotIdentified
 from .likelihood import FittedJointModel, cell_log_terms, onset_partials
-from .survival import step_lookup
 
 DEFAULT_EXTRA_GRID = 200
 _FILLER_STEPS = np.arange(1.0, DEFAULT_EXTRA_GRID + 1)
@@ -58,8 +57,8 @@ class PredictionQuery:
         ks = [k for k, _ in ev]
         if len(set(ks)) != len(ks):
             raise DomainError("duplicate event indices in query")
-        if any(t < 0 for _, t in ev):
-            raise DomainError("onset times must be non-negative")
+        if not all(0.0 <= t < np.inf for _, t in ev):
+            raise DomainError("onset times must be finite and non-negative")
 
     @property
     def m(self) -> int:
@@ -73,16 +72,16 @@ class PredictionQuery:
 @dataclass
 class SurvivalPrediction:
     """Predicted conditional survival on a grid past the landmark: one curve
-    (1-d values, one method), one curve per method (2-d values, one row
-    per entry of a tuple of methods), or a batch of histories (3-d values,
-    subjects x methods x grid).  A batch has one grid per subject (the rows
-    of 2-d times, padded with +inf), one landmark per subject, and one
-    tuple of methods per subject; a subject's curves repeat their last
-    value past its grid, and its last method row past its methods."""
+    per method of one history (2-d values, one row per entry of the tuple
+    `method`), or a batch of histories (3-d values, subjects x methods x
+    grid).  A batch has one grid per subject (the rows of 2-d times, padded
+    with +inf), one landmark per subject, and one tuple of methods per
+    subject; a subject's curves repeat their last value past its grid, and
+    its last method row past its methods."""
 
     times: np.ndarray
     values: np.ndarray
-    method: str | tuple
+    method: tuple
     landmark: float | np.ndarray
 
     def __post_init__(self):
@@ -90,14 +89,12 @@ class SurvivalPrediction:
         self.values = np.asarray(self.values, dtype=float)
 
     def at(self, t):
-        """Right-continuous evaluation; 1 at/before the landmark.  A batch
-        takes one set of times (scalar or 1-d) for all its subjects and
-        returns subjects x methods x times."""
-        if self.times.ndim == 1:
-            return step_lookup(self.times, self.values, t)
+        """Right-continuous evaluation; 1 at/before the landmark.  One set of
+        times (scalar or 1-d) for every curve: methods x times, or subjects
+        x methods x times for a batch."""
         t = np.asarray(t, dtype=float)
-        out = _lookup(self.times, self.values, t.ravel())
-        return out.reshape(self.values.shape[:2] + t.shape)
+        times, values, _ = _as_batch(self)
+        return _lookup(times, values, t.ravel()).reshape(self.values.shape[:-1] + t.shape)
 
     def subject(self, i: int) -> "SurvivalPrediction":
         """Subject i of a batch: its own methods on its own grid."""
@@ -142,14 +139,20 @@ def _default_grid(atoms, landmark: float, t_max: float) -> np.ndarray:
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
+def _checked_times(times):
+    """Supplied evaluation times, or None.  cmst, cqst and the intervals
+    read a grid in order."""
+    if times is not None:
+        times = np.asarray(times, dtype=float)
+        if not (times.ndim == 1 and np.isfinite(times).all() and (times[1:] > times[:-1]).all()):
+            raise DomainError("evaluation times must be a finite, strictly increasing sequence")
+    return times
+
+
 def _grid(model, landmark, times):
-    """A history's evaluation times: `times` checked, or the default grid."""
+    """A history's evaluation times: checked `times`, or the default grid."""
     if times is None:  # increasing by construction
         return _default_grid(model.terminal_measure[0], landmark, model.t_max)
-    # cmst, cqst and the intervals read the grid in order
-    times = np.asarray(times, dtype=float)
-    if times.size > 1 and not (times[1:] > times[:-1]).all():
-        raise DomainError("evaluation times must be strictly increasing")
     if times.size == 0:
         raise DomainError("no evaluation time past the landmark")
     if np.any(times <= landmark):
@@ -390,10 +393,13 @@ def predict_curves(
     numerator.
     """
     keys = _method_keys(query, methods)
-    times = _grid(model, query.landmark, times)
+    times = _grid(model, query.landmark, _checked_times(times))
     values, errors = _curves(model, [query], [keys], times[None], _density_of_one)
     if errors:
-        raise errors[0]
+        # a caller that keeps the exception keeps this frame through its
+        # traceback: let the frame hold no array, nor the exception itself
+        del times, values
+        raise errors.pop(0)
     return SurvivalPrediction(times, values[0], tuple(methods), query.landmark)
 
 
@@ -415,10 +421,7 @@ def predict_batch(queries, model: FittedJointModel, methods=("DP",), times=None)
     if not queries:
         return
     shared = isinstance(methods[0], str) if len(methods) else True
-    if times is not None:
-        times = np.asarray(times, dtype=float)
-        if times.size > 1 and not (times[1:] > times[:-1]).all():
-            raise DomainError("evaluation times must be strictly increasing")
+    times = _checked_times(times)
     atoms = model.terminal_measure[0]
     chunk, failures = [], {}
     longest = n_methods = cells = 0
@@ -471,43 +474,25 @@ def _finish(model, chunk, failures):
     return np.array(positions)[ok], pred, failures
 
 
-def _one_curve(query, model, method, times):
-    try:
-        pred = predict_curves(query, model, (method,), times)
-    except NotIdentified as exc:
-        # a caller that keeps the exception keeps the raising frames through
-        # its traceback; clear them so they hold no grid or per-atom arrays
-        traceback.clear_frames(exc.__traceback__)
-        raise
-    return SurvivalPrediction(pred.times, pred.values[0], method, pred.landmark)
+# predict_survival_dp and predict_baseline stay only because the benchmark
+# in perfbench/ calls them and its tracer wraps them
 
 
 def predict_survival_dp(
     query: PredictionQuery, model: FittedJointModel, times=None
 ) -> SurvivalPrediction:
-    """Dynamic prediction using the full observed history."""
-    return _one_curve(query, model, "DP", times)
+    """Dynamic prediction using the full observed history: `predict_curves`
+    with the one method DP."""
+    return predict_curves(query, model, ("DP",), times)
 
 
 def predict_baseline(
-    query: PredictionQuery,
-    model: FittedJointModel,
-    method: str,
-    k: int = None,
-    times=None,
+    query: PredictionQuery, model: FittedJointModel, method: str, k: int = None, times=None
 ) -> SurvivalPrediction:
-    """Landmark baselines: P0 (terminal KM ratio), Pk (single onset anchored
-    at its own time), Pkm (single onset anchored at the landmark); the onset
-    k (0-based) defaults to the earliest observed one."""
-    if method in ("Pk", "Pkm"):
-        if k is None:
-            if not query.events:
-                raise DomainError("baseline with an onset needs an observed event")
-            k = min(query.events, key=lambda ev: ev[1])[0]
-        method = f"{method}:{k + 1}"
-    elif method != "P0":
-        raise DomainError(f"unknown baseline method {method!r}")
-    return _one_curve(query, model, method, times)
+    """Landmark baseline P0, or Pk / Pkm of onset k (0-based): `predict_curves`
+    with the one method P0, Pk:K or Pkm:K (K = k + 1)."""
+    name = method if k is None else f"{method}:{k + 1}"
+    return predict_curves(query, model, (name,), times)
 
 
 def _as_batch(pred):
@@ -521,10 +506,8 @@ def _as_batch(pred):
 
 def _per_curve(pred, rows):
     """rows (subjects x methods) shaped as the prediction's curves: as they
-    are for a batch, one per method, or a float for a single curve."""
-    if pred.values.ndim == 3:
-        return rows
-    return rows[0] if pred.values.ndim == 2 else rows[0, 0].item()
+    are for a batch, one per method for one history."""
+    return rows if pred.values.ndim == 3 else rows[0]
 
 
 def cmst(pred: SurvivalPrediction, t_u_star: float):
@@ -576,16 +559,11 @@ def _quantile_times(pred, level):
 
 
 def cqst(pred: SurvivalPrediction, tau_level: float):
-    """Conditional quantile survival time: first grid time where the curve
-    falls to 1 - tau_level.  For a single curve, raises NotIdentified beyond
-    the curve's reach; for several, such entries are NaN."""
+    """Conditional quantile survival time: first grid time where each curve
+    falls to 1 - tau_level, NaN where that lies beyond the curve's reach."""
     if not 0.0 < tau_level < 1.0:
         raise DomainError("quantile level must lie in (0, 1)")
-    q = _quantile_times(pred, tau_level)
-    if pred.values.ndim == 1 and np.isnan(q[0, 0]):
-        s_end = pred.values[-1]
-        raise NotIdentified(f"quantile {tau_level} not reached (curve ends at {s_end:.4g})")
-    return _per_curve(pred, q)
+    return _per_curve(pred, _quantile_times(pred, tau_level))
 
 
 @dataclass(frozen=True)
@@ -608,9 +586,9 @@ def prediction_interval(pred: SurvivalPrediction, t_u_star: float = None):
     """Central 95% interval from the quantile survival times.
 
     When the upper level is out of reach the bound is right-censored at the
-    restriction time (by default each grid's last time) and flagged.  For
-    several curves the interval holds one entry per curve; a lower level
-    out of reach on any curve raises NotIdentified.
+    restriction time (by default each grid's last time) and flagged.  The
+    interval holds one entry per curve; a lower level out of reach on any
+    curve raises NotIdentified.
     """
     lo_level, hi_level = INTERVAL_LEVELS
     lo = _quantile_times(pred, lo_level)
@@ -622,6 +600,4 @@ def prediction_interval(pred: SurvivalPrediction, t_u_star: float = None):
     hi = _quantile_times(pred, hi_level)
     censored = np.isnan(hi)
     hi = np.where(censored, t_u_star, hi)
-    if pred.values.ndim == 1:
-        return PredictionInterval(float(lo[0, 0]), float(hi[0, 0]), bool(censored[0, 0]))
     return PredictionInterval(*(_per_curve(pred, x) for x in (lo, hi, censored)))

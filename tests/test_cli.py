@@ -284,6 +284,8 @@ def test_predict_query_errors_exit_4(workdir, tmp_path, capsys, flags):
         ["--t-u-star", "inf"],
         ["--t-u-star", "0"],
         ["--t-u-star", "-1"],
+        ["--times", "nan"],  # one point: the order check alone passed it
+        ["--times", "1,inf"],
     ],
 )
 def test_predict_bad_number_flags_exit_2(workdir, tmp_path, flags):
@@ -545,6 +547,10 @@ def test_bad_optimizer_settings_exit_2(workdir, tmp_path, text, command):
         "id,d,tt1,tt2\n1,abc,0.5,\n",
         "id,d,tt1,tt2\n1,2.0,0.5\n",
         "id,d,tt1,tt2\n1,2.0,0.5,x\n",
+        "id,d,tt1,tt2\n1,nan,0.5,\n",
+        "id,d,tt1,tt2\n1,-1.0,0.5,\n",
+        "id,d,tt1,tt2\n1,inf,,\n",
+        "id,d,tt1,tt2\n1,2.0,nan,\n",
         "id,death,tt1\n1,2.0,0.5\n",
         "id,d,tt1,tt2\n",
     ],
@@ -558,7 +564,8 @@ def test_read_latent_rejects_malformed(tmp_path, text):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "\n", "id,t1,t2\n", "id,t1,t2\na,0.5\n", "id,t1,t2\na,0.5,x\n", "id,t1,t2\na,-1.0,\n"],
+    ["", "\n", "id,t1,t2\n", "id,t1,t2\na,0.5\n", "id,t1,t2\na,0.5,x\n", "id,t1,t2\na,-1.0,\n",
+     "id,t1,t2\na,0.5,nan\n", "id,t1,t2\na,inf,\n"],
 )
 def test_read_query_rejects_malformed(tmp_path, text):
     path = tmp_path / "q.csv"
@@ -576,6 +583,35 @@ def test_evaluate_malformed_latent_exits_2(workdir, tmp_path, text):
         run_cli(["evaluate", "--model", tmp / "model.json", "--data", tmp / "test.csv",
                  "--latent", latent, "--config", cfg, "--out", tmp_path / "r.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("row", ["1,0.5,nan", "1,nan,"])
+def test_predict_non_finite_onset_exits_2(workdir, tmp_path, capsys, row):
+    # a NaN onset passed a `t < 0` check: the row got a DP curve with
+    # landmark 0.5, or ended as "no terminal mass beyond nan" (exit 4)
+    tmp, _ = workdir
+    qpath = tmp_path / "q.csv"
+    qpath.write_text(f"id,t1,t2\n{row}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["predict", "--model", tmp / "model.json", "--queries", qpath,
+                 "--out", tmp_path / "p.csv"])
+    assert exc.value.code == 2
+    assert "line 2: onset times must be finite" in capsys.readouterr().err
+
+
+def test_evaluate_nan_latent_death_exits_2(workdir, tmp_path, capsys):
+    # a NaN death time passed, and the report held NaN MSPE, QPE and relMSPE
+    tmp, cfg = workdir
+    lines = (tmp / "latent_test.csv").read_text().splitlines()
+    row = lines[2].split(",")  # after the provenance line and the header
+    lines[2] = ",".join([row[0], "nan", *row[2:]])
+    latent = tmp_path / "latent.csv"
+    latent.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["evaluate", "--model", tmp / "model.json", "--data", tmp / "test.csv",
+                 "--latent", latent, "--config", cfg, "--out", tmp_path / "r.json"])
+    assert exc.value.code == 2
+    assert "line 2:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ['{"family": "frank"}', "not json"])

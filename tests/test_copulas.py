@@ -216,14 +216,14 @@ def test_h_frechet_bound_and_monotone(family):
 
 def test_h2_independence_limit():
     cop = ArchimedeanCopula("clayton", 1e-8)
-    _, h2, _ = cop.partials(0.37, 0.81)
+    h2, _ = cop.partials(0.37, 0.81)
     assert h2 == pytest.approx(0.37, abs=1e-6)
 
 
 def test_h2_clayton_hand_value():
     # H2 = dH/dv at u = v = 0.5, theta = 1: (u^-1+v^-1-1)^-2 v^-2 = 4/9
     cop = ArchimedeanCopula("clayton", 1.0)
-    _, h2, _ = cop.partials(0.5, 0.5)
+    h2, _ = cop.partials(0.5, 0.5)
     assert h2 == pytest.approx(4.0 / 9.0, rel=1e-10)
 
 
@@ -244,7 +244,8 @@ def test_partials_match_finite_differences(family):
             - cop.h(u - h, v + h)
             + cop.h(u - h, v - h)
         ) / (4 * h * h)
-        h1, h2, h12 = cop.partials(u, v)
+        h2, h12 = cop.partials(u, v)
+        h1 = cop.h2(v, u)
         assert h1 == pytest.approx(h1_fd, rel=1e-4, abs=1e-8)
         assert h2 == pytest.approx(h2_fd, rel=1e-4, abs=1e-8)
         assert h12 == pytest.approx(h12_fd, rel=1e-3, abs=1e-6)
@@ -268,9 +269,9 @@ def test_h2_is_the_h2_of_partials_and_h1_by_exchangeability(family, data):
     u, v = (np.array(c) for c in zip(*pairs))
     with np.errstate(all="ignore"):
         for a, b in ((u, v), (u[0], v[0]), (u[:, None], v[None, :])):
-            h1, h2, h12 = cop.partials(a, b)
+            h2, h12 = cop.partials(a, b)
+            h1 = cop.h2(b, a)
             assert np.array_equal(cop.h2(a, b), h2, equal_nan=True)
-            assert np.array_equal(cop.h2(b, a), h1, equal_nan=True)
             if np.ndim(h2):
                 out = np.empty(np.shape(h2))
                 assert cop.h2(a, b, out=out) is out

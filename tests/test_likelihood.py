@@ -64,7 +64,7 @@ def smooth_workspace(data, tau_thetas=(0.5, 0.35), mc_n=2000, mc_seed=7, n_grid=
 def _g_and_phi(cop_k, cop_a, rate_k, t_k, y):
     u = np.exp(-rate_k * t_k)
     v = np.exp(-RATE_D * y)
-    _, h2, h12 = cop_k.partials(u, v)
+    h2, h12 = cop_k.partials(u, v)
     neg_gp = h12 * rate_k * u
     return h2, neg_gp
 
@@ -119,7 +119,7 @@ def test_death_record_no_events_is_pure_survival_term():
     expected = np.log(ws.s_d.jump_mass(y))
     args = 0.0
     for k, rate in enumerate(RATES_K):
-        _, h2, _ = ws.cops[k].partials(np.exp(-rate * y), vmid)
+        h2, _ = ws.cops[k].partials(np.exp(-rate * y), vmid)
         args += cop_a.phi(h2)
     expected += np.log(cop_a.psi(args))
     assert log_term == pytest.approx(expected, rel=1e-12)
@@ -153,7 +153,7 @@ def _oracle_j_terms(tau_thetas, tau_a, t2, y):
     def parts(cop_k, rate_k, t_k, t):
         u = np.exp(-rate_k * t_k)
         v = np.exp(-RATE_D * t)
-        _, h2, h12 = cop_k.partials(u, v)
+        h2, h12 = cop_k.partials(u, v)
         return h2, h12 * rate_k * u  # (G, -G')
 
     def f_d(t):
@@ -212,11 +212,11 @@ def _alive_parts(ws, data, row):
     cen = np.flatnonzero(data.delta[row] == 0)
 
     def h2(k, t):
-        return ws.cops[k].partials(np.asarray(ws.marginals[k](t)), v)[1]
+        return ws.cops[k].partials(np.asarray(ws.marginals[k](t)), v)[0]
 
     def neg_gp(k, t):
         u = np.asarray(ws.marginals[k](t))
-        return ws.cops[k].partials(u, v)[2] * -np.asarray(ws.marginals[k].slope(t))
+        return ws.cops[k].partials(u, v)[1] * -np.asarray(ws.marginals[k].slope(t))
 
     ones = np.ones(gt.size)
     return {

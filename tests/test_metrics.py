@@ -170,7 +170,7 @@ def test_interval_metrics_hand_cases():
     ivs2 = [PredictionInterval(1.0, 2.0, hi_censored=True)]
     cp2, mid2, flagged2 = interval_metrics([5.0], ivs2)
     assert cp2 == 0.0 and flagged2 == 1
-    # one interval of floats, as prediction_interval returns for one curve
+    # one interval of floats
     assert interval_metrics(2.0, PredictionInterval(1.0, 3.0, True)) == (1.0, 2.0, 1)
 
 

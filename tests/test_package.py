@@ -2,8 +2,11 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 from tests._cli import cli_env
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # fit, predict and evaluate in a fresh interpreter, then list the loaded
 # scipy.stats modules
@@ -27,3 +30,12 @@ def test_user_path_does_not_load_scipy_stats():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_sketch_runs():
+    # the documented API stays the one the package has
+    example = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", example], capture_output=True, text=True, env=cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr

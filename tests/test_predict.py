@@ -71,7 +71,7 @@ def test_dp_m0_is_km_conditional_ratio():
     s = model.terminal.completed()
     expected = np.asarray(s([1.0, 2.5, 3.9])) / 1.0
     assert np.allclose(pred.values, expected)
-    assert pred.method == "DP"
+    assert pred.method == ("DP",)
 
 
 def test_p0_uncensored_is_empirical_conditional_survival():
@@ -81,7 +81,7 @@ def test_p0_uncensored_is_empirical_conditional_survival():
     lm = float(np.quantile(d, 0.3))
     q = PredictionQuery(((0, lm),))
     pred = predict_baseline(q, model, "P0", times=np.quantile(d, [0.5, 0.7, 0.9]))
-    for t, v in zip(pred.times, pred.values):
+    for t, v in zip(pred.times, pred.values[0]):
         emp = (d > t).sum() / (d > lm).sum()
         assert v == pytest.approx(emp, abs=1e-12)
 
@@ -161,7 +161,7 @@ def test_q_joint_density_matches_direct_formula(family):
     cop_a = model.copula_alpha()
     arg, prod = 0.0, 1.0
     for k, t_k in q.events:
-        _, g, h12 = model.copula_for(k).partials(model.marginals[k](t_k), v)
+        g, h12 = model.copula_for(k).partials(model.marginals[k](t_k), v)
         arg = arg + cop_a.phi(g)
         prod = prod * -cop_a.phi_prime(g) * h12
     direct = np.abs(cop_a.psi_deriv(arg, q.m)) * prod
@@ -195,8 +195,8 @@ def test_integrated_q2_matches_mixed_partial_oracle():
     def joint_surv(x1, x2):
         def integrand(y):
             v = np.exp(-RATE_D * y)
-            _, g1, _ = cop_1.partials(np.exp(-RATE_K * x1), v)
-            _, g2, _ = cop_2.partials(np.exp(-RATE_K * x2), v)
+            g1, _ = cop_1.partials(np.exp(-RATE_K * x1), v)
+            g2, _ = cop_2.partials(np.exp(-RATE_K * x2), v)
             return (
                 cop_a.psi(cop_a.phi(g1) + cop_a.phi(g2))
                 * RATE_D
@@ -433,8 +433,9 @@ def test_curve_matrix_method_grammar():
     with pytest.raises(DomainError):
         predict_curves(q, model, ["DP"], times=[0.4, 1.0])
     # cmst, cqst and prediction_interval read the grid in order: on
-    # [3, 1, 4, 2] the CMST of one history came out 1.642 instead of 0.751
-    for times in ([3.0, 1.0, 4.0, 2.0], [1.0, 2.0, 2.0, 3.0]):
+    # [3, 1, 4, 2] the CMST of one history came out 1.642 instead of 0.751;
+    # a one-point NaN grid gave survival 0 at NaN, and a scalar an IndexError
+    for times in ([3.0, 1.0, 4.0, 2.0], [1.0, 2.0, 2.0, 3.0], [np.nan], [1.0, np.inf], 2.0):
         with pytest.raises(DomainError, match="strictly increasing"):
             predict_curves(q, model, ["DP", "P0", "Pk:1"], times=times)
 
@@ -449,15 +450,15 @@ def test_summaries_reduce_rows_with_nan_for_unreached_quantiles():
     assert list(iv.lo) == [2.0, 2.0] and list(iv.hi) == [4.5, 4.5]
     assert list(iv.hi_censored) == [True, True]
     # a lower level out of reach on any one curve is not identified
-    high = SurvivalPrediction(ts, np.vstack([vals, [0.99, 0.99, 0.98]]), "abc", 1.0)
+    high = SurvivalPrediction(ts, np.vstack([vals, [0.99, 0.99, 0.98]]), ("a", "b", "c"), 1.0)
     with pytest.raises(NotIdentified):
         prediction_interval(high)
     with pytest.warns(UserWarning) as coarse:
         means = cmst(pred, 4.0)
         assert len(coarse) == 1  # the grid is shared: one warning for both
         for j in range(2):
-            one = SurvivalPrediction(ts, vals[j], "x", 1.0)
-            assert means[j] == cmst(one, 4.0)
+            one = SurvivalPrediction(ts, vals[j : j + 1], ("x",), 1.0)
+            assert means[j] == cmst(one, 4.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +545,9 @@ def test_batch_takes_one_method_list_for_all_and_reports_bad_methods():
     ]
     seen, _ = _batch_outcomes(queries, model, ("Pk:x",))
     assert all(isinstance(seen[pos], ConfigError) for pos in range(5))
-    with pytest.raises(DomainError, match="strictly increasing"):
-        list(predict_batch(queries, model, ("DP",), times=[2.0, 1.0]))
+    for times in ([2.0, 1.0], [np.nan]):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            list(predict_batch(queries, model, ("DP",), times=times))
 
 
 @pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
@@ -642,7 +644,7 @@ def test_batch_memory_is_bounded():
 
 def _flat_pred(value, lm=1.0, t_end=5.0, n=200):
     ts = np.linspace(lm + 1e-9, t_end, n)
-    return SurvivalPrediction(ts, np.full(n, float(value)), "DP", lm)
+    return SurvivalPrediction(ts, np.full((1, n), float(value)), ("DP",), lm)
 
 
 def test_cmst_constant_curves():
@@ -669,19 +671,18 @@ def test_cmst_respects_stochastic_ordering():
 
 def test_cmst_warns_on_coarse_grid():
     ts = np.array([1.5, 4.9])
-    pred = SurvivalPrediction(ts, np.array([0.9, 0.5]), "DP", 1.0)
+    pred = SurvivalPrediction(ts, np.array([[0.9, 0.5]]), ("DP",), 1.0)
     with pytest.warns(UserWarning):
         cmst(pred, 5.0)
 
 
 def test_cqst_direct_inversion():
     ts = np.array([2.0, 3.0, 4.0, 5.0])
-    vals = np.array([0.9, 0.7, 0.5, 0.2])
-    pred = SurvivalPrediction(ts, vals, "DP", 1.0)
-    assert cqst(pred, 0.5) == 4.0
-    assert cqst(pred, 0.1) == 2.0
-    with pytest.raises(NotIdentified):
-        cqst(pred, 0.9)
+    vals = np.array([[0.9, 0.7, 0.5, 0.2]])
+    pred = SurvivalPrediction(ts, vals, ("DP",), 1.0)
+    assert cqst(pred, 0.5) == [4.0]
+    assert cqst(pred, 0.1) == [2.0]
+    assert np.isnan(cqst(pred, 0.9)).all()  # past the curve's reach
 
 
 def test_cqst_levels_are_ordered():
@@ -693,17 +694,17 @@ def test_cqst_levels_are_ordered():
 
 def test_prediction_interval_degenerate_and_flags():
     ts = np.array([2.0, 2.0001, 5.0])
-    pred = SurvivalPrediction(ts, np.array([1.0, 0.0, 0.0]), "DP", 1.0)
+    pred = SurvivalPrediction(ts, np.array([[1.0, 0.0, 0.0]]), ("DP",), 1.0)
     iv = prediction_interval(pred)
-    assert iv.width == 0.0  # both quantiles hit the single drop point
-    assert not iv.hi_censored
+    assert iv.width == [0.0]  # both quantiles hit the single drop point
+    assert iv.hi_censored == [False]
     # a curve that never falls low enough right-censors the upper bound
     pred2 = SurvivalPrediction(
-        np.array([2.0, 5.0]), np.array([0.9, 0.5]), "DP", 1.0
+        np.array([2.0, 5.0]), np.array([[0.9, 0.5]]), ("DP",), 1.0
     )
     iv2 = prediction_interval(pred2, t_u_star=5.0)
-    assert iv2.hi_censored and iv2.hi == 5.0
-    assert iv2.covers(3.0) and not iv2.covers(1.5)
+    assert iv2.hi_censored == [True] and iv2.hi == [5.0]
+    assert iv2.covers(3.0) == [True] and iv2.covers(1.5) == [False]
 
 
 def test_cmst_early_events_worsen_outlook():

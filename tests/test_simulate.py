@@ -71,8 +71,8 @@ def test_conditional_uniforms_on_upper_wedge():
     lat = simulate_latent(cfg, 20_000, np.random.default_rng(15))
     cop = ArchimedeanCopula("frank", theta_from_tau("frank", 0.5))
     v = np.exp(-cfg.rate_terminal * lat.d)
-    _, g_onset, _ = cop.partials(np.exp(-lat.onset[:, 0]), v)
-    _, g_bound, _ = cop.partials(np.exp(-lat.d), v)
+    g_onset, _ = cop.partials(np.exp(-lat.onset[:, 0]), v)
+    g_bound, _ = cop.partials(np.exp(-lat.d), v)
     upper = lat.upper_wedge[:, 0]
     rescaled = (g_onset[upper] - g_bound[upper]) / (1.0 - g_bound[upper])
     assert kstest(rescaled, "uniform").pvalue > 0.01
