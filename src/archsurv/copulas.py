@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize
 
+from ._roots import brentq
 from .errors import DomainError, RangeError, UnsupportedOrder
 
 FAMILIES = ("frank", "clayton", "gumbel")
@@ -480,6 +480,53 @@ def _logseries_quantile_pair(theta: float, u1, u2):
 # -- Kendall tau conversions ---------------------------------------------------
 
 
+# B_2k / ((2k + 1) (2k)!) for k = 1..18, each exact rational rounded once to
+# a float (B_2k the Bernoulli numbers): the Taylor series of x / (e^x - 1),
+# integrated term by term.
+_DEBYE_SMALL = (
+    0.027777777777777776,
+    -0.0002777777777777778,
+    4.72411186696901e-06,
+    -9.185773074661964e-08,
+    1.8978869988971e-09,
+    -4.0647616451442256e-11,
+    8.921691020456452e-13,
+    -1.9939295860721074e-14,
+    4.518980029619918e-16,
+    -1.0356517612181247e-17,
+    2.395218621026187e-19,
+    -5.581785874325009e-21,
+    1.3091507554183213e-22,
+    -3.0874198024267403e-24,
+    7.315975652702203e-26,
+    -1.740845657234001e-27,
+    4.1576356446139e-29,
+    -9.962148488284622e-31,
+)
+
+
+def _debye(x: float) -> float:
+    """Frank's Debye integral: the integral of t / (e^t - 1) over [0, x].
+
+    For |x| <= 2 the Bernoulli series x - x^2/4 + sum_k B_2k x^(2k+1) /
+    ((2k + 1) (2k)!), whose terms fall by (x / 2 pi)^2 each; above it
+    pi^2/6 - sum_k e^(-kx) (x/k + 1/k^2), summed from the smallest term;
+    and I(-x) = -(x^2/2 + I(x)) below zero.
+    """
+    if x < 0:
+        return -(0.5 * x * x + _debye(-x))
+    if x <= 2.0:
+        x2 = x * x
+        acc = 0.0
+        for c in reversed(_DEBYE_SMALL):
+            acc = acc * x2 + c
+        return x - 0.25 * x2 + x * x2 * acc
+    tail = 0.0
+    for k in range(int(45.0 / x) + 1, 0, -1):
+        tail += math.exp(-k * x) * (x / k + 1.0 / (k * k))
+    return math.pi**2 / 6.0 - tail
+
+
 @lru_cache(maxsize=200_000)
 def tau_from_theta(family: str, theta: float) -> float:
     """Kendall's tau for a family/parameter pair (closed form per family)."""
@@ -488,17 +535,7 @@ def tau_from_theta(family: str, theta: float) -> float:
         return theta / (theta + 2.0)
     if family == "gumbel":
         return 1.0 - 1.0 / theta
-    def debye_integrand(t):
-        if t == 0:
-            return 1.0
-        if t > 700.0:  # t e^-t underflows; expm1 would overflow
-            return 0.0
-        return t / math.expm1(t)
-
-    debye, _ = integrate.quad(
-        debye_integrand, 0.0, theta, epsabs=1e-13, epsrel=1e-12, limit=200
-    )
-    return 1.0 - 4.0 / theta * (1.0 - debye / theta)
+    return 1.0 - 4.0 / theta * (1.0 - _debye(theta) / theta)
 
 
 @lru_cache(maxsize=200_000)
@@ -506,7 +543,7 @@ def theta_from_tau(family: str, tau: float) -> float:
     """Invert the monotone tau(theta) map for a family.
 
     Clayton/Gumbel have closed inverses; Frank is solved by bracketed
-    root-finding to 1e-8.
+    root-finding (xtol 1e-10, rtol 1e-12).
     """
     if not -1.0 < tau < 1.0:
         raise RangeError(f"tau must lie in (-1, 1), got {tau}")
@@ -544,6 +581,6 @@ def theta_from_tau(family: str, tau: float) -> float:
         hi *= 2.0
     if g(lo) > 0 or g(hi) < 0:
         raise RangeError(f"no bracket for frank tau = {tau}")
-    mag = optimize.brentq(g, lo, hi, xtol=1e-10, rtol=1e-12)
+    mag, _ = brentq(g, lo, hi, xtol=1e-10, rtol=1e-12)
     return float(sgn * mag)
 

@@ -65,26 +65,44 @@ class SurvivalData:
         )
         if not shapes_ok:
             return ["array shapes disagree"]
-        for i in range(self.n):
-            rid = self.ids[i]
-            if not np.isfinite(self.y[i]) or self.y[i] < 0:
-                out.append(f"row {rid}: bad terminal time {self.y[i]}")
-                continue
-            if self.dtilde[i] not in (0, 1):
-                out.append(f"row {rid}: terminal indicator not 0/1")
-            for k in range(self.k):
-                tv, dv = self.t[i, k], self.delta[i, k]
-                if not np.isfinite(tv) or tv < 0:
-                    out.append(f"row {rid}: bad time t{k + 1}={tv}")
-                elif tv > self.y[i] + 1e-9:
-                    out.append(f"row {rid}: t{k + 1}={tv} exceeds y={self.y[i]}")
-                if dv not in (0, 1):
-                    out.append(f"row {rid}: indicator d{k + 1} not 0/1")
-                elif dv == 0 and abs(tv - self.y[i]) > 1e-9:
-                    out.append(
-                        f"row {rid}: censored t{k + 1} must equal y "
-                        f"({tv} != {self.y[i]})"
-                    )
+        y, t, delta = self.y, self.t, self.delta
+        with np.errstate(invalid="ignore"):
+            cells = (
+                ~np.isfinite(t)
+                | (t < 0)
+                | (t > y[:, None] + 1e-9)
+                | ((delta != 0) & (delta != 1))
+                | ((delta == 0) & (np.abs(t - y[:, None]) > 1e-9))
+            )
+        flagged = (
+            ~np.isfinite(y) | (y < 0) | ((self.dtilde != 0) & (self.dtilde != 1))
+            | cells.any(axis=1)
+        )
+        for i in np.flatnonzero(flagged):
+            out += self._row_violations(i)
+        return out
+
+    def _row_violations(self, i) -> list:
+        """Descriptions of the violations in row i, in the order checked."""
+        out = []
+        rid = self.ids[i]
+        if not np.isfinite(self.y[i]) or self.y[i] < 0:
+            return [f"row {rid}: bad terminal time {self.y[i]}"]
+        if self.dtilde[i] not in (0, 1):
+            out.append(f"row {rid}: terminal indicator not 0/1")
+        for k in range(self.k):
+            tv, dv = self.t[i, k], self.delta[i, k]
+            if not np.isfinite(tv) or tv < 0:
+                out.append(f"row {rid}: bad time t{k + 1}={tv}")
+            elif tv > self.y[i] + 1e-9:
+                out.append(f"row {rid}: t{k + 1}={tv} exceeds y={self.y[i]}")
+            if dv not in (0, 1):
+                out.append(f"row {rid}: indicator d{k + 1} not 0/1")
+            elif dv == 0 and abs(tv - self.y[i]) > 1e-9:
+                out.append(
+                    f"row {rid}: censored t{k + 1} must equal y "
+                    f"({tv} != {self.y[i]})"
+                )
         return out
 
     def subset(self, idx) -> "SurvivalData":

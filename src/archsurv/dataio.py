@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 
 import numpy as np
 
@@ -43,28 +42,33 @@ def _fmt(x) -> str:
 
 
 def _open_rows(path):
+    """(header, body) of a CSV file whose `#` lines are comments: the header
+    is the first row's fields, and the body pairs each later row with its
+    line number in the file."""
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    rows = list(csv.reader(io.StringIO("".join(lines))))
+        kept = [(n, ln) for n, ln in enumerate(fh, start=1) if not ln.startswith("#")]
+    reader = csv.reader(ln for _, ln in kept)
+    rows = [(kept[reader.line_num - 1][0], row) for row in reader]
     if not rows:
         raise ConfigError(f"{path}: empty file")
-    return rows
+    return rows[0][1], rows[1:]
 
 
-def _parse_rows(path, rows, parse):
-    """`parse(row)` of every non-empty row after the header, which fixes the
-    field count.  A malformed row raises ConfigError naming the first five."""
+def _parse_rows(path, header, body, parse):
+    """`parse(row)` of every non-empty body row; the header fixes the field
+    count.  A malformed row raises ConfigError naming the first five by
+    their line in the file."""
     out, problems = [], []
-    for rn, row in enumerate(rows[1:], start=2):
+    for ln, row in body:
         if not row:
             continue
-        if len(row) != len(rows[0]):
-            problems.append(f"line {rn}: {len(row)} fields, expected {len(rows[0])}")
+        if len(row) != len(header):
+            problems.append(f"line {ln}: {len(row)} fields, expected {len(header)}")
             continue
         try:
             out.append(parse(row))
         except (ValueError, DomainError) as exc:
-            problems.append(f"line {rn}: {exc}")
+            problems.append(f"line {ln}: {exc}")
     if problems:
         raise ConfigError(f"{path}: " + "; ".join(problems[:5]))
     if not out:
@@ -93,8 +97,7 @@ def write_data_csv(path, data: SurvivalData, header_line: str = None) -> None:
 
 
 def read_data_csv(path) -> SurvivalData:
-    rows = _open_rows(path)
-    header = rows[0]
+    header, body = _open_rows(path)
     if len(header) < 4 or header[0] != "id" or header[-2:] != ["y", "dtilde"]:
         raise ConfigError(f"{path}: expected header id,t1..tK,d1..dK,y,dtilde")
     k = (len(header) - 3) // 2
@@ -113,7 +116,7 @@ def read_data_csv(path) -> SurvivalData:
         d_i = [int(c) for c in row[1 + k : 1 + 2 * k]]
         return row[0], t_i, d_i, y_i, int(row[2 + 2 * k])
 
-    ids, t, d, y, dt = zip(*_parse_rows(path, rows, parse))
+    ids, t, d, y, dt = zip(*_parse_rows(path, header, body, parse))
     try:
         return SurvivalData(t, d, y, dt, ids=np.array(ids))
     except ValueError as exc:
@@ -135,9 +138,9 @@ def write_latent_csv(path, latent: LatentTruth, header_line: str = None) -> None
 
 
 def read_latent_csv(path):
-    rows = _open_rows(path)
-    k = len(rows[0]) - 2
-    if k < 1 or rows[0] != ["id", "d"] + [f"tt{j + 1}" for j in range(k)]:
+    header, body = _open_rows(path)
+    k = len(header) - 2
+    if k < 1 or header != ["id", "d"] + [f"tt{j + 1}" for j in range(k)]:
         raise ConfigError(f"{path}: expected header id,d,tt1..ttK")
 
     def parse(row):
@@ -146,7 +149,7 @@ def read_latent_csv(path):
             raise ValueError("death time must be finite and non-negative, onsets not NaN")
         return row[0], d, onset
 
-    ids, d, onset = zip(*_parse_rows(path, rows, parse))
+    ids, d, onset = zip(*_parse_rows(path, header, body, parse))
     return np.array(ids), np.asarray(d), np.asarray(onset)
 
 
@@ -166,8 +169,7 @@ def write_query_csv(path, queries, k, ids=None, header_line=None) -> None:
 
 
 def read_query_csv(path, k=None):
-    rows = _open_rows(path)
-    header = rows[0]
+    header, body = _open_rows(path)
     if header[:1] != ["id"]:
         raise ConfigError(f"{path}: first query column must be id")
     file_k = len(header) - 1
@@ -178,5 +180,5 @@ def read_query_csv(path, k=None):
         events = tuple((j, float(c)) for j, c in enumerate(row[1:]) if c != "")
         return row[0], PredictionQuery(events)
 
-    ids, queries = zip(*_parse_rows(path, rows, parse))
+    ids, queries = zip(*_parse_rows(path, header, body, parse))
     return list(ids), list(queries)

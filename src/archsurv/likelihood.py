@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy import optimize
 
+from ._roots import minimize_bounded
 from .copulas import U_FLOOR, ArchimedeanCopula, theta_from_tau
 from .data import SurvivalData
 from .errors import ConfigError, EstimationError
@@ -362,15 +362,12 @@ def maximize_alpha(
     def neg(tau):
         return -workspace.profile_loglik(tau_alpha=float(tau))
 
-    res = optimize.minimize_scalar(
-        neg, bounds=(lo, hi), method="bounded", options={"xatol": tau_tol}
-    )
-    tau_hat = float(res.x)
+    tau_hat, neg_max = minimize_bounded(neg, lo, hi, xatol=tau_tol)
     boundary = tau_hat - lo < 2 * tau_tol or hi - tau_hat < 2 * tau_tol
     if boundary:
         warnings.warn(f"global association maximized at boundary (tau={tau_hat:.4f})")
     alpha_hat = theta_from_tau(workspace.family, tau_hat)
-    return alpha_hat, tau_hat, -float(res.fun), boundary
+    return alpha_hat, tau_hat, -float(neg_max), boundary
 
 
 def fit_joint_model(

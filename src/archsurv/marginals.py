@@ -13,8 +13,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from ._roots import brentq
 from .copulas import ArchimedeanCopula, tau_from_theta, theta_from_tau
 from .data import SurvivalData
 from .errors import NoComparablePairs, NoRootError
@@ -247,8 +247,7 @@ def solve_theta(
             f"(U({lo})={f_lo:.4g}, U({hi})={f_hi:.4g})"
         )
     else:
-        tau_hat, root = optimize.brentq(f, lo, hi, xtol=1e-6, full_output=True)
-        evals = root.function_calls
+        tau_hat, evals = brentq(f, lo, hi, xtol=1e-6)
     if info is not None:
         info.update(pairs=table.pairs, evals=int(evals), boundary=boundary)
     theta_hat = theta_from_tau(family, float(tau_hat))

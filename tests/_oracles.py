@@ -16,6 +16,36 @@ def copula_from_tau(family: str, tau: float) -> ArchimedeanCopula:
 
 
 # ---------------------------------------------------------------------------
+# Record checks row by row, as `SurvivalData.validate` did before it built its
+# masks with numpy: the package must give the same messages in the same order.
+
+
+def reference_validate(data) -> list:
+    """Row-indexed descriptions of the invariant violations of `data`."""
+    out = []
+    for i in range(data.n):
+        rid = data.ids[i]
+        if not np.isfinite(data.y[i]) or data.y[i] < 0:
+            out.append(f"row {rid}: bad terminal time {data.y[i]}")
+            continue
+        if data.dtilde[i] not in (0, 1):
+            out.append(f"row {rid}: terminal indicator not 0/1")
+        for k in range(data.k):
+            tv, dv = data.t[i, k], data.delta[i, k]
+            if not np.isfinite(tv) or tv < 0:
+                out.append(f"row {rid}: bad time t{k + 1}={tv}")
+            elif tv > data.y[i] + 1e-9:
+                out.append(f"row {rid}: t{k + 1}={tv} exceeds y={data.y[i]}")
+            if dv not in (0, 1):
+                out.append(f"row {rid}: indicator d{k + 1} not 0/1")
+            elif dv == 0 and abs(tv - data.y[i]) > 1e-9:
+                out.append(
+                    f"row {rid}: censored t{k + 1} must equal y ({tv} != {data.y[i]})"
+                )
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The copula algebra and self-consistency sweep written with fresh arrays and
 # full-size np.where, one expression per quantity: the in-place package code
 # must reproduce them bit for bit.

@@ -611,7 +611,34 @@ def test_evaluate_nan_latent_death_exits_2(workdir, tmp_path, capsys):
         run_cli(["evaluate", "--model", tmp / "model.json", "--data", tmp / "test.csv",
                  "--latent", latent, "--config", cfg, "--out", tmp_path / "r.json"])
     assert exc.value.code == 2
-    assert "line 2:" in capsys.readouterr().err
+    assert "line 3:" in capsys.readouterr().err  # file line: provenance, header, row
+
+
+def test_data_parse_error_names_the_file_line(workdir, tmp_path, capsys):
+    # the row after the provenance line and the header is line 3 of the file
+    tmp, cfg = workdir
+    lines = (tmp / "train.csv").read_text().splitlines()
+    row = lines[2].split(",")
+    lines[2] = ",".join([*row[:-2], "abc", row[-1]])
+    data = tmp_path / "train.csv"
+    data.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["fit", "--data", data, "--config", cfg, "--out", tmp_path / "m.json",
+                 "--threads", 1])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "line 3:" in err and "line 2:" not in err
+
+
+def test_query_parse_error_names_the_file_line(workdir, tmp_path, capsys):
+    tmp, _ = workdir
+    qpath = tmp_path / "q.csv"
+    qpath.write_text("# archsurv command=test\n# second comment\nid,t1,t2\n1,0.5,\n2,0.5,nan\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["predict", "--model", tmp / "model.json", "--queries", qpath,
+                 "--out", tmp_path / "p.csv"])
+    assert exc.value.code == 2
+    assert "line 5: onset times must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ['{"family": "frank"}', "not json"])
