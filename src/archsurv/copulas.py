@@ -297,9 +297,15 @@ class ArchimedeanCopula:
     # exchangeability H1(u, v) is the same expression with u and v swapped.
     # `out` may be the shared-term array itself.
 
-    def _frank_h2(self, eu, vc, denom, out=None):
-        # exp(-th v) expm1(-th u) / (expm1(-th) + expm1(-th u) expm1(-th v))
-        return np.divide(np.exp(-self.theta * vc) * eu, denom, out=out)
+    def _frank_h2(self, uc, vc, out=None):
+        # (H2, denominator) with H2 = n / (n + exp(-th u) expm1(-th (1 - u))),
+        # n = exp(-th v) expm1(-th u): the denominator expm1(-th) +
+        # expm1(-th u) expm1(-th v) as two terms of one sign, which does not
+        # cancel as th grows.  `out` receives H2.
+        th = self.theta
+        n = np.multiply(np.exp(-th * vc), np.expm1(-th * uc), out=_out(out, uc, vc))
+        denom = n + np.exp(-th * uc) * np.expm1(-th * (1.0 - uc))
+        return np.divide(n, denom, out=n), denom
 
     def _clayton_h2(self, la, lv, out=None):
         # exp(-(1 + 1/th) la - (th + 1) log v)
@@ -338,11 +344,43 @@ class ArchimedeanCopula:
                 lv = np.log(vc)
                 out = self._gumbel_h2(lt, s, np.log(-lv), lv, out=lt)
             else:
-                eu = np.expm1(-th * uc)
-                denom = np.multiply(eu, np.expm1(-th * vc), out=_out(out, uc, vc))
-                denom += np.expm1(-th)
-                out = self._frank_h2(eu, vc, denom, out=denom)
+                out, _ = self._frank_h2(uc, vc, out)
         out.clip(0.0, 1.0, out=out)
+        return out if out.ndim else float(out)
+
+    def log_h2_inverse(self, w, v):
+        """log u with H2(u, v) = w (Nelsen 2006, sec. 2.9): 0 at w = 1, -inf
+        at w = 0.  v is clamped as in `h2`; u is not, since a lower-wedge
+        target may lie below H2(U_FLOOR, v)."""
+        w, vc = _as_array(w), _clamp_unit(v)
+        th = self.theta
+        with np.errstate(divide="ignore", over="ignore"):
+            lw = np.log(w)
+            if self.family == "clayton":
+                # u^-th = 1 + v^-th expm1(a), a = -th log w / (1 + th)
+                a = -th * lw / (1.0 + th)
+                out = np.logaddexp(0.0, a + np.log(-np.expm1(-a)) - th * np.log(vc))
+                out /= -th
+            elif self.family == "gumbel":
+                # -log u = z0 expm1(th log1p(delta / z0))^(1/th), z0 = -log v, where
+                # delta + (th - 1) log1p(delta / z0) = -log w; that left side is
+                # increasing and concave, so Newton from 0 rises to the root
+                z0 = -np.log(vc)
+                delta, step = np.zeros(np.broadcast(lw, z0).shape), np.inf
+                while np.any(step > 1e-15 * delta):
+                    f = delta + (th - 1.0) * np.log1p(delta / z0)
+                    step = (-lw - f) / (1.0 + (th - 1.0) / (z0 + delta))
+                    delta += np.maximum(step, 0.0)
+                a = th * np.log1p(delta / z0)
+                out = -np.exp(np.log(z0) + (a + np.log(-np.expm1(-a))) / th)
+            else:
+                # e^(-th u) = (A + w e^-th) / (A + w), A = e^(-th v) (1 - w);
+                # th u from p = 1 - e^(-th u) while p < 1/2, else as a log ratio
+                r = -th * vc + np.log1p(-w)
+                lse = np.logaddexp(r, lw)
+                p = np.exp(lw - lse) * -np.expm1(-th)
+                thu = np.where(p < 0.5, -np.log1p(-p), lse - np.logaddexp(r, lw - th))
+                out = np.log(thu / th)
         return out if out.ndim else float(out)
 
     def partials(self, u, v):
@@ -377,14 +415,8 @@ class ArchimedeanCopula:
                     )
                 )
             else:
-                eu, ev, e1 = (
-                    np.expm1(-th * uc),
-                    np.expm1(-th * vc),
-                    np.expm1(-th),
-                )
-                denom = e1 + eu * ev
-                h2 = self._frank_h2(eu, vc, denom)
-                h12 = -th * np.exp(-th * (uc + vc)) * e1 / denom**2
+                h2, denom = self._frank_h2(uc, vc)
+                h12 = -th * np.exp(-th * (uc + vc)) * np.expm1(-th) / denom**2
         h2 = np.clip(h2, 0.0, 1.0)
         h12 = np.maximum(h12, 0.0)
         if h2.ndim == 0:

@@ -12,6 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _indicator(flags):
+    """0/1 flags as int8, any other value (0.7, 257, NaN) as -1 for `validate`
+    to reject: a plain cast would make 0.7 a 0 and 257 a 1."""
+    flags = np.asarray(flags)
+    return np.where((flags == 0) | (flags == 1), flags, -1).astype(np.int8)
+
+
 @dataclass
 class SurvivalData:
     """Column-wise arrays for n subjects and K intermediate events.
@@ -28,9 +35,9 @@ class SurvivalData:
 
     def __post_init__(self):
         self.t = np.atleast_2d(np.asarray(self.t, dtype=float))
-        self.delta = np.atleast_2d(np.asarray(self.delta, dtype=np.int8))
+        self.delta = np.atleast_2d(_indicator(self.delta))
         self.y = np.asarray(self.y, dtype=float)
-        self.dtilde = np.asarray(self.dtilde, dtype=np.int8)
+        self.dtilde = _indicator(self.dtilde)
         if self.ids is None:
             self.ids = np.arange(1, self.n + 1)
         else:

@@ -151,7 +151,9 @@ def auc_t(curves_at_t, y, dtilde, landmarks, s_c, t):
     ties counting half (Blanche, Dartigues & Jacqmin-Gadda 2013).  Each
     method row is a weighted rank count: its control scores are sorted
     once, and each case takes the control weight above its score plus half
-    the weight tied with it; O(n log n) per row."""
+    the weight tied with it; O(n log n) per row.  The control total is the
+    top of the same cumulative sum, so the ratio can pass 1 only by the
+    rounding of the case sum, which the clip removes."""
     s_vals = np.asarray(curves_at_t, dtype=float)
     y = np.asarray(y, dtype=float)
     landmarks = np.asarray(landmarks, dtype=float)
@@ -170,8 +172,10 @@ def auc_t(curves_at_t, y, dtilde, landmarks, s_c, t):
         above = np.append(np.cumsum(w_ctrl[order][::-1])[::-1], 0.0)
         lo = np.searchsorted(sj, si, side="left")
         hi = np.searchsorted(sj, si, side="right")
-        wins.append(np.dot(w_case, above[hi] + 0.5 * (above[lo] - above[hi])))
-    return (np.reshape(wins, s_vals.shape[:-1]) / (w_case.sum() * w_ctrl.sum())).tolist()
+        won = np.dot(w_case, above[hi] + 0.5 * (above[lo] - above[hi]))
+        wins.append(won / above[0])
+    auc = np.reshape(wins, s_vals.shape[:-1]) / w_case.sum()
+    return np.clip(auc, 0.0, 1.0).tolist()
 
 
 def interval_metrics(truths, intervals):

@@ -2,10 +2,12 @@
 
 Subjects are drawn from the layered copula model: a death time from its
 marginal, exchangeable conditional uniforms across the K onsets, and each
-onset placed by inverting its conditional survival given the death time.
-Draws with no admissible onset before death are placed past death ("lower
-wedge"); the observed-data law provably does not depend on how, which the
-mixed-wedge scenario (ex3) exercises by swapping the association there.
+onset placed by inverting its conditional survival H2(S(x), v) given the
+death time (the conditional method, Nelsen 2006, sec. 2.9), with the exact
+inverse `ArchimedeanCopula.log_h2_inverse`.  Draws with no admissible onset
+before death are placed past death ("lower wedge"); the observed-data law
+provably does not depend on how, which the mixed-wedge scenario (ex3)
+exercises by swapping the association there.
 """
 
 from __future__ import annotations
@@ -38,10 +40,13 @@ class SimConfig:
             raise ConfigError("k must be >= 1")
         if len(self.tau_thetas) != self.k:
             raise ConfigError("tau_thetas must have length k")
-        if self.rate_intermediate <= 0 or self.rate_terminal <= 0:
-            raise ConfigError("marginal rates must be positive")
-        if self.censor_upper <= 0:
-            raise ConfigError("censoring upper bound must be positive")
+        rates = (self.rate_intermediate, self.rate_terminal)
+        if not all(0 < r < np.inf for r in rates):
+            raise ConfigError("marginal rates must be positive and finite")
+        if not 0 < self.censor_upper < np.inf:
+            raise ConfigError("censoring upper bound must be positive and finite")
+        if self.n_train < 0 or self.n_test < 0:
+            raise ConfigError("n_train and n_test must be >= 0")
         try:
             theta_from_tau(self.family, self.tau_alpha)
             for tau in self.tau_thetas:
@@ -123,57 +128,21 @@ class SimResult:
     config: SimConfig
 
 
-def _bisect(g, target, lo, hi, tol):
-    """Midpoints of [lo, hi] after bisecting each entry for g(x) = target,
-    g decreasing; at most 64 halvings, fewer once every width is below tol."""
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        too_low = g(mid) > target  # root right of mid
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-        if np.max(hi - lo) < tol:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _invert_conditional(cop_u, cop_l, u_target, v_death, d_time, rate, tol=1e-10):
-    """Place one onset column given death times.
-
-    Solves H2(S(x), v; theta_u) = u on [0, D] when the draw lands in the
-    upper wedge; otherwise continues past D along the (rescaled) lower-wedge
-    branch with theta_l.  Bisection to `tol` in time units.
+def _invert_conditional(cop_u, cop_l, u_target, v_death, d_time, rate):
+    """Place one onset column given death times: at the x <= D with
+    H2_u(S(x), v) = u_target if u_target >= c = H2_u(S(D), v) (upper wedge),
+    else at the x >= D with H2_l(S(x), v) = u_target / c * H2_l(S(D), v).
+    S(x) = exp(-rate x), so x = -log u / rate for u from `log_h2_inverse`.
     """
-    n = u_target.size
-    s_of = lambda x: np.exp(-rate * x)
-
-    def g_upper(x):
-        return cop_u.h2(s_of(x), v_death)
-
-    c_boundary = g_upper(d_time)
-    upper = u_target >= c_boundary
-    out = np.empty(n)
-    out[upper] = _bisect(g_upper, u_target, np.zeros(n), d_time, tol)[upper]
-
-    if np.any(~upper):
-        idx = ~upper
-        v = v_death[idx]
-        d_sub = d_time[idx]
-        h2_at_d = np.maximum(cop_l.h2(s_of(d_sub), v), 1e-300)
-        # target on the raw lower branch: u / c * H2_l(S(D), v)
-        target = u_target[idx] / np.maximum(c_boundary[idx], 1e-300) * h2_at_d
-
-        def g_lower(x):
-            return cop_l.h2(s_of(x), v)
-
-        span = 80.0 / rate
-        hi = d_sub + span
-        for _ in range(40):
-            grow = g_lower(hi) > target
-            if not np.any(grow):
-                break
-            hi = np.where(grow, hi + span, hi)
-        out[idx] = _bisect(g_lower, target, d_sub, hi, tol)
-    return out
+    s_d = np.exp(-rate * d_time)
+    c = cop_u.h2(s_d, v_death)
+    lo = u_target < c
+    w = u_target.copy()
+    w[lo] *= cop_l.h2(s_d[lo], v_death[lo]) / c[lo]
+    x = cop_u.log_h2_inverse(w, v_death) / -rate
+    x[lo] = cop_l.log_h2_inverse(w[lo], v_death[lo]) / -rate
+    # maximum before minimum turns a placement of -0.0 into +0.0
+    return np.where(lo, np.maximum(x, d_time), np.minimum(np.maximum(x, 0.0), d_time))
 
 
 def simulate_latent(config: SimConfig, n: int, rng: np.random.Generator) -> LatentTruth:

@@ -114,17 +114,65 @@ def reference_partials(cop, u, v):
                 )
             )
         else:
-            eu, ev, e1 = np.expm1(-th * uc), np.expm1(-th * vc), np.expm1(-th)
-            denom = e1 + eu * ev
-            h1 = np.exp(-th * uc) * ev / denom
-            h2 = np.exp(-th * vc) * eu / denom
-            h12 = -th * np.exp(-th * (uc + vc)) * e1 / denom**2
+            # denominator expm1(-th) + expm1(-th u) expm1(-th v), as the sum of
+            # a partial's numerator and a term of the same sign
+            n1 = np.exp(-th * uc) * np.expm1(-th * vc)
+            n2 = np.exp(-th * vc) * np.expm1(-th * uc)
+            denom = n2 + np.exp(-th * uc) * np.expm1(-th * (1.0 - uc))
+            h1 = n1 / (n1 + np.exp(-th * vc) * np.expm1(-th * (1.0 - vc)))
+            h2 = n2 / denom
+            h12 = -th * np.exp(-th * (uc + vc)) * np.expm1(-th) / denom**2
     h1 = np.clip(h1, 0.0, 1.0)
     h2 = np.clip(h2, 0.0, 1.0)
     h12 = np.maximum(h12, 0.0)
     if h1.ndim == 0:
         return float(h1), float(h2), float(h12)
     return h1, h2, h12
+
+
+# ---------------------------------------------------------------------------
+# H2 and H12 in mpmath from the generator alone: with H = psi(phi(u) + phi(v)),
+# H2 = phi'(v) / phi'(H) and H12 = -phi'(u) phi'(v) phi''(H) / phi'(H)^3.
+# Evaluate under `mpmath.workdps(50)` or more; Frank's psi cancels e^-theta
+# against 1 near H = 1, so `mp_partials` adds theta / 2 digits for it.
+
+
+def mp_generator(family, theta):
+    """(phi, phi', phi'', psi) of a family as mpmath functions."""
+    import mpmath as mp
+
+    th = mp.mpf(theta)
+    if family == "clayton":
+        return (
+            lambda t: (t**-th - 1) / th,
+            lambda t: -(t ** (-th - 1)),
+            lambda t: (th + 1) * t ** (-th - 2),
+            lambda s: (1 + th * s) ** (-1 / th),
+        )
+    if family == "gumbel":
+        return (
+            lambda t: (-mp.log(t)) ** th,
+            lambda t: -th * (-mp.log(t)) ** (th - 1) / t,
+            lambda t: th * (-mp.log(t)) ** (th - 2) * (th - 1 - mp.log(t)) / t**2,
+            lambda s: mp.exp(-(s ** (1 / th))),
+        )
+    return (
+        lambda t: -mp.log(mp.expm1(-th * t) / mp.expm1(-th)),
+        lambda t: -th / mp.expm1(th * t),
+        lambda t: th**2 * mp.exp(th * t) / mp.expm1(th * t) ** 2,
+        lambda s: -mp.log1p(mp.exp(-s) * mp.expm1(-th)) / th,
+    )
+
+
+def mp_partials(family, theta, u, v):
+    """(H2, H12) at (u, v) in mpmath."""
+    import mpmath as mp
+
+    with mp.extradps(int(abs(theta) / 2) if family == "frank" else 0):
+        phi, d1, d2, psi = mp_generator(family, theta)
+        u, v = mp.mpf(u), mp.mpf(v)
+        h = psi(phi(u) + phi(v))
+        return d1(v) / d1(h), -d1(u) * d1(v) * d2(h) / d1(h) ** 3
 
 
 def reference_self_consistent(k, data, theta_hat, s_d, family):

@@ -60,3 +60,16 @@ def test_validate_clean_and_constructor_message():
     t[3, 0] = np.nan
     with pytest.raises(ValueError, match=r"invalid records: row 4: bad time t1=nan"):
         SurvivalData(t, delta, data.y, data.dtilde)
+
+
+@pytest.mark.parametrize(
+    "t,delta,dtilde,message",
+    [
+        ([[1.0]], [[0.7]], [1.0], "indicator d1 not 0/1"),  # once stored as 0
+        ([[0.5]], [[257.0]], [1.0], "indicator d1 not 0/1"),  # once stored as 1
+        ([[1.0]], [[0.0]], [np.nan], "terminal indicator not 0/1"),
+    ],
+)
+def test_indicators_are_checked_before_the_int8_cast(t, delta, dtilde, message):
+    with pytest.raises(ValueError, match=f"row 1: {message}"):
+        SurvivalData(t, delta, [1.0], dtilde)

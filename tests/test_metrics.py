@@ -122,6 +122,19 @@ def test_auc_separating_and_ties():
     assert auc_t(np.full(4, 0.5), y, dt, lms, FLAT_SC, t=5.0) == 0.5
 
 
+def test_auc_of_separated_scores_is_at_most_one():
+    # perfect separation under unequal censoring weights: summing the control
+    # weights in two orders once gave AUC 1 + a few ulp
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        n = int(rng.integers(10, 60))
+        y = rng.exponential(size=n) * 4
+        dt = (rng.uniform(size=n) < 0.7).astype(int)
+        t = float(np.quantile(y, rng.uniform(0.2, 0.8)))
+        auc = auc_t(y, y, dt, np.zeros(n), kaplan_meier(y, 1 - dt), t)
+        assert 1.0 - 1e-14 <= auc <= 1.0
+
+
 def test_auc_monotone_transform_invariance():
     rng = np.random.default_rng(3)
     for _ in range(100):

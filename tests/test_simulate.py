@@ -1,6 +1,9 @@
 """Generative engine: censoring rates, marginal preservation, wedge
-invariance, reproducibility."""
+invariance, reproducibility, and onset placement against mpmath."""
 
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.stats import kendalltau, ks_2samp, kstest
@@ -9,12 +12,14 @@ from archsurv.copulas import ArchimedeanCopula, theta_from_tau
 from archsurv.errors import ConfigError, DomainError
 from archsurv.simulate import (
     SimConfig,
+    _invert_conditional,
     ex1_config,
     ex2_config,
     ex3_config,
     simulate_dataset,
     simulate_latent,
 )
+from tests._oracles import copula_from_tau, mp_partials
 
 
 def pairwise_kendall(matrix: np.ndarray) -> np.ndarray:
@@ -164,6 +169,72 @@ def test_observed_records_are_consistent():
     assert np.array_equal(data.delta, (lat.onset <= data.y[:, None]).astype(int))
 
 
+# -- onset placement against mpmath --------------------------------------------
+
+PLACE_TAUS = (0.01, 0.2, 0.5, 0.8, 0.9, 0.95, 0.99)
+PLACE_D = np.array([1e-4, 0.01, 0.5, 2.0, 10.0, 20.0, 27.0])
+UPPER_Q = np.array([0.0, 1e-6, 0.5, 0.999, 1.0])  # w = c + q (1 - 1e-9 - c)
+LOWER_Q = np.array([1e-12, 1e-3, 0.5, 1.0 - 1e-6])  # u_target = q c
+
+
+def _mp_root(family, theta, log_w, v, x):
+    """The x with log H2(e^-x, v) = log_w, by Newton in mpmath from x."""
+    x = mp.mpf(x)
+    for _ in range(10):
+        u = mp.exp(-x)
+        h2, h12 = mp_partials(family, theta, u, v)
+        step = (mp.log(h2) - log_w) * h2 / (u * h12)
+        x += step
+        if abs(step) < mp.mpf(10) ** -40 * max(x, 1):
+            return x
+    raise AssertionError(f"no mpmath root: {family} theta={theta} v={v}")
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_placement_matches_mpmath_root(family):
+    # rates 1, so S(x) = e^-x; the lower wedge takes the mirrored tau, and its
+    # target u_target / c * H2_l(S(D), v) is exact in the reference
+    n_up, n_lo = UPPER_Q.size, LOWER_Q.size
+    d = np.repeat(PLACE_D, n_up + n_lo)
+    v = np.exp(-d)
+    on_upper = np.tile(np.arange(n_up + n_lo) < n_up, PLACE_D.size)
+    q = np.tile(np.r_[UPPER_Q, LOWER_Q], PLACE_D.size)
+    for tau_u, tau_l in zip(PLACE_TAUS, PLACE_TAUS[::-1]):
+        cop_u, cop_l = copula_from_tau(family, tau_u), copula_from_tau(family, tau_l)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = cop_u.h2(v, v)
+            u_target = np.where(on_upper, c + q * (1.0 - 1e-9 - c), q * c)
+            w = np.where(on_upper, u_target, u_target / c * cop_l.h2(v, v))
+            log_u = np.where(
+                on_upper, cop_u.log_h2_inverse(w, v), cop_l.log_h2_inverse(w, v)
+            )
+            x = _invert_conditional(cop_u, cop_l, u_target, v, d, 1.0)
+            d0 = np.array([0.0, 0.0, 1e-4, 2.0, 27.0])
+            v0 = np.exp(-d0)
+            u0 = np.r_[cop_u.h2(1.0, 1.0), np.ones(4)]
+            x0 = _invert_conditional(cop_u, cop_l, u0, v0, d0, 1.0)
+        # D = 0 and a unit target place the onset at +0.0
+        assert np.array_equal(x0, np.zeros(5)) and not np.signbit(x0).any()
+        assert np.isfinite(x).all() and not np.signbit(x).any()
+        assert np.all(np.where(on_upper, x <= d, x >= d))
+        with mp.workdps(50):
+            for i in range(x.size):
+                cop = cop_u if on_upper[i] else cop_l
+                log_w = mp.log(u_target[i])
+                if not on_upper[i]:
+                    log_w += mp.log(
+                        mp_partials(family, cop_l.theta, v[i], v[i])[0]
+                        / mp_partials(family, cop_u.theta, v[i], v[i])[0]
+                    )
+                root = _mp_root(family, cop.theta, log_w, v[i], max(x[i], 1e-12))
+                placed = min(max(root, 0), d[i]) if on_upper[i] else max(root, d[i])
+                tol = 1e-12 * max(float(root), 1.0)
+                where = f"tau={tau_u}/{tau_l} D={d[i]} q={q[i]}"
+                assert abs(x[i] - placed) <= tol, where
+                assert abs(log_u[i] + root) <= tol, where
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(k=2, tau_thetas=(0.5,))
@@ -171,6 +242,20 @@ def test_config_validation():
         SimConfig(k=1, family="clayton", tau_alpha=-0.5, tau_thetas=(0.5,))
     with pytest.raises(ConfigError):
         SimConfig(k=1, tau_thetas=(0.5,), censor_upper=-1.0)
+    # each of these once ran: an untyped OverflowError, data with a
+    # RuntimeWarning, or a run on a negative size
+    for bad in (
+        {"censor_upper": np.nan},
+        {"censor_upper": np.inf},
+        {"rate_terminal": np.inf},
+        {"rate_terminal": np.nan},
+        {"rate_intermediate": 0.0},
+        {"rate_intermediate": -np.inf},
+        {"n_train": -1},
+        {"n_test": -1},
+    ):
+        with pytest.raises(ConfigError):
+            SimConfig(k=1, tau_thetas=(0.5,), **bad)
 
 
 def test_latent_onset_or_inf_encoding():
