@@ -5,7 +5,9 @@ Three one-parameter families are supported (Frank, Clayton, Gumbel).  The
 generator ``phi`` maps (0, 1] onto [0, inf) and is strictly decreasing with
 ``phi(1) = 0``; ``psi`` is its inverse and equals the Laplace transform of a
 positive frailty distribution, which is what makes exchangeable sampling and
-high-order derivatives tractable.
+high-order derivatives tractable.  Derivatives of any order come from one log
+kernel, ``log_abs_psi_deriv``: log|psi^(d)| stays finite where psi^(d) itself
+underflows, and there is no cap on d.
 
 All evaluators accept scalars or numpy arrays and clamp copula arguments to
 ``[U_FLOOR, 1 - U_FLOOR]`` before use, since step-function marginals can hit
@@ -21,15 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from ._roots import brentq
-from .errors import DomainError, RangeError, UnsupportedOrder
-
-FAMILIES = ("frank", "clayton", "gumbel")
+from .errors import DomainError, RangeError
 
 # Floor applied to copula arguments before generator evaluation.
 U_FLOOR = 1e-12
-
-# Highest supported generator-derivative order (covers K events plus one).
-MAX_DERIV_ORDER = 8
 
 
 def _as_array(x):
@@ -62,36 +59,30 @@ def _check_theta(family: str, theta: float) -> None:
 
 
 @lru_cache(maxsize=64)
-def _stirling2_row(n: int) -> tuple:
-    """Stirling numbers of the second kind S(n, 1..n)."""
+def _eulerian_row(n: int) -> tuple:
+    """Eulerian numbers A(n, 0..n-1), the coefficients of the Eulerian
+    polynomial A_n(w) = sum_k A(n, k) w^k; A_0 = A_1 = 1."""
     row = [1]
-    for m in range(2, n + 1):
-        prev = row
-        row = []
-        for k in range(1, m + 1):
-            left = prev[k - 2] if k >= 2 else 0
-            right = k * prev[k - 1] if k <= m - 1 else 0
-            row.append(left + right)
-    return tuple(row)
+    for m in range(2, n + 1):  # A(m, k) = (k + 1) A(m-1, k) + (m - k) A(m-1, k-1)
+        row = [(k + 1) * a + (m - k) * b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return tuple(float(c) for c in row)
 
 
 @lru_cache(maxsize=512)
 def _gumbel_deriv_logcoef(d: int, theta: float) -> tuple:
-    """Log-magnitudes of the coefficients c_{d,k} in
-    psi^(d)(t) = sum_k c_{d,k} t^{k/theta - d} exp(-t^{1/theta}).
+    """(k/theta - d, log|c_{d,k}|) over the nonzero coefficients c_{d,k} in
+    psi^(d)(t) = sum_k c_{d,k} t^{k/theta - d} exp(-t^{1/theta}): k = 0 alone
+    at d = 0, k in 1..d above it.
 
     All c_{d,k} share the sign (-1)^d, so the evaluation is cancellation
     free; the recursion follows from differentiating the k-term expansion.
     """
     beta = 1.0 / theta
-    coef = np.array([-beta])  # order 1: c_{1,1} = -1/theta
-    for dd in range(1, d):
-        nxt = np.zeros(dd + 1)
-        for k in range(1, dd + 1):
-            nxt[k - 1] += coef[k - 1] * (k * beta - dd)
-            nxt[k] += -beta * coef[k - 1]
-        coef = nxt
-    return tuple(np.log(np.abs(coef)))
+    coef = np.array([1.0])  # order 0: psi itself
+    for dd in range(d):
+        coef = np.r_[coef * (np.arange(dd + 1) * beta - dd), 0.0] - np.r_[0.0, beta * coef]
+    ks = np.flatnonzero(coef)
+    return tuple(ks / theta - d), tuple(np.log(np.abs(coef[ks])))
 
 
 @dataclass(frozen=True)
@@ -183,51 +174,57 @@ class ArchimedeanCopula:
         out = np.where(np.isposinf(t_arr), 0.0, out)
         return out if out.ndim else float(out)
 
-    def psi_deriv(self, t, d: int):
-        """d-th derivative of psi; sign is (-1)^d.
+    def log_abs_psi_deriv(self, t, d: int):
+        """log|psi^(d)(t)| for any order d >= 0 (log psi at d = 0, -inf at
+        t = +inf); psi^(d) has sign (-1)^d.
 
-        Closed forms for every family: Clayton uses the product formula,
-        Frank the negative-order polylog expansion of the log-series
-        transform, Gumbel a cancellation-free coefficient recursion.
+        Clayton takes the product formula, Gumbel the cancellation-free
+        coefficient sum through logsumexp, and Frank, with w = (1 - e^-th) e^-t,
+        |psi^(d)| = w A_{d-1}(w) / (th (1 - w)^d) for d >= 1 (A_n the Eulerian
+        polynomial, with positive coefficients) and psi = -log(1 - w) / th.
+        Frank needs th > 0: below it psi is not completely monotone.
         """
         if d < 0 or int(d) != d:
             raise DomainError("derivative order must be a non-negative integer")
-        if d > MAX_DERIV_ORDER:
-            raise UnsupportedOrder(f"order {d} exceeds maximum {MAX_DERIV_ORDER}")
-        if d == 0:
-            return self.psi(t)
         t_arr = _as_array(t)
         if np.any(t_arr < 0):
-            raise DomainError("psi_deriv requires t >= 0")
-        th = self.theta
-        sign = -1.0 if d % 2 else 1.0
-        with np.errstate(over="ignore", divide="ignore"):
+            raise DomainError("psi derivatives require t >= 0")
+        d, th = int(d), self.theta
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if self.family == "clayton":
-                logc = sum(math.log1p(j * th) for j in range(d))
-                out = sign * np.exp(logc - (1.0 / th + d) * np.log1p(th * t_arr))
+                # sum_j log1p(j th) - (d + 1/th) log1p(th t): an exact sum and a
+                # split product, so that the two large terms cancel cleanly
+                lt = np.log1p(th * t_arr)
+                out = math.fsum(math.log1p(j * th) for j in range(d)) - d * lt - lt / th
             elif self.family == "gumbel":
                 ts = np.maximum(t_arr, 1e-300)
-                lt = np.log(ts)
-                logcoef = np.asarray(_gumbel_deriv_logcoef(d, th))
-                ks = np.arange(1, d + 1)
-                expo = lt[..., None] * (ks / th - d) + logcoef
+                powers, logcoef = _gumbel_deriv_logcoef(d, th)
+                expo = np.log(ts)[..., None] * powers + logcoef
                 m = expo.max(axis=-1)
-                out = sign * np.exp(m - ts ** (1.0 / th)) * np.exp(
-                    expo - m[..., None]
-                ).sum(axis=-1)
+                out = m - ts ** (1.0 / th)
+                out += np.log(np.exp(expo - m[..., None]).sum(axis=-1))
+            elif th > 0:
+                lw = math.log(-math.expm1(-th)) - t_arr
+                w = np.exp(lw)
+                # log(1 - w), with 1 - w = -expm1(-t) + e^(-t - th) as in psi
+                l1mw = np.log(-np.expm1(-t_arr) + np.exp(-t_arr - th))
+                if d == 0:  # log(-log(1 - w)); -log(1 - w) rounds to w below 1e-16
+                    out = np.where(w < 0.5, -np.log1p(-w), -l1mw)
+                    out = np.where(w < 1e-16, lw, np.log(out))
+                else:  # (Eulerian rows are palindromes, so either order suits polyval)
+                    out = lw + np.log(np.polyval(_eulerian_row(d - 1), w)) - d * l1mw
+                out -= math.log(th)
             else:
-                # psi^(d)(t) = -(1/th) (-1)^(d-1) Li_{-(d-1)}(w), w = p e^{-t};
-                # Li via Stirling expansion in g = w/(1-w), all terms positive.
-                one_minus_w = -np.expm1(-t_arr) + np.exp(-t_arr - th)
-                w = -np.expm1(-th) * np.exp(-t_arr)
-                g = w / np.maximum(one_minus_w, 1e-300)
-                s2 = _stirling2_row(d)
-                acc = np.zeros_like(g)
-                for j in range(d - 1, -1, -1):
-                    acc = acc * g + math.factorial(j) * s2[j]
-                out = sign * acc * g / th
-        out = np.where(np.isposinf(t_arr), 0.0, out)
+                raise RangeError("frank psi derivatives require theta > 0")
+        out = np.where(np.isposinf(t_arr), -np.inf, out)
         return out if out.ndim else float(out)
+
+    def psi_deriv(self, t, d: int):
+        """d-th derivative of psi: (-1)^d exp(`log_abs_psi_deriv`), and
+        `psi` itself at d = 0."""
+        if d == 0:
+            return self.psi(t)
+        return (-1.0) ** d * np.exp(self.log_abs_psi_deriv(t, d))
 
     # -- bivariate copula and partials --------------------------------------
 
@@ -241,7 +238,7 @@ class ArchimedeanCopula:
     def _h_clamped(self, u, v, out=None):
         uc, vc = _clamp_unit(u), _clamp_unit(v)
         th = self.theta
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if self.family == "clayton":
                 out = self._clayton_log_a(uc, vc, out)
                 np.negative(out, out=out)  # exp(-la / th)
@@ -254,14 +251,19 @@ class ArchimedeanCopula:
                 np.negative(out, out=out)
                 np.exp(out, out=out)
             else:
-                # -log1p(expm1(-th u) expm1(-th v) / expm1(-th)) / th
-                out = np.multiply(
-                    np.expm1(-th * uc), np.expm1(-th * vc), out=_out(out, uc, vc)
-                )
-                out /= np.expm1(-th)
+                # -log(r) / th, r = 1 + q, q = a expm1(-th v), a = expm1(-th u) / expm1(-th):
+                # log1p(q) while q >= -1/2; below it 1 + q cancels, and r is taken
+                # as b + a e^(-th v) (`_frank_h2`'s same-sign denominator over
+                # expm1(-th)), so log r = log1p(max(q, -1/2)) + log(min(2r, 1))
+                tu, tv, c = -th * uc, -th * vc, math.expm1(-th)
+                a = np.expm1(tu) / c
+                out = np.multiply(a, np.expm1(tv), out=_out(out, uc, vc))
+                np.maximum(out, -0.5, out=out)
                 np.log1p(out, out=out)
-                np.negative(out, out=out)
-                out /= th
+                r = np.multiply(a + a, np.exp(tv), out=np.empty_like(out))
+                r += np.exp(tu) * np.expm1(-th * (1.0 - uc)) * (2.0 / c)
+                out += np.log(np.minimum(r, 1.0, out=r), out=r)
+                out *= -1.0 / th
         # H(1, v) = v, then H(u, 1) = u: whole rows or columns of an outer grid
         for one, other in ((u, v), (v, u)):
             is_one = _as_array(one) == 1.0

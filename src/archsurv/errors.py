@@ -13,10 +13,6 @@ class RangeError(ArchsurvError):
     """A parameter lies outside the admissible range of a copula family."""
 
 
-class UnsupportedOrder(ArchsurvError):
-    """A generator-derivative order beyond the configured maximum was requested."""
-
-
 class EmptyDataError(ArchsurvError):
     """An estimator received no usable records."""
 

@@ -98,8 +98,7 @@ def cell_log_terms(cop_alpha: ArchimedeanCopula, g, obs, log_w, d_groups):
         lp = _safe_log(-np.asarray(cop_alpha.phi_prime(g)))
         x = log_w + np.where(obs, lp, 0.0).sum(axis=1)
         for d, idx in d_groups:
-            psi_d = np.asarray(cop_alpha.psi_deriv(arg[idx], int(d)))
-            x[idx] += _safe_log(np.abs(psi_d))
+            x[idx] += cop_alpha.log_abs_psi_deriv(arg[idx], int(d))
     return x
 
 

@@ -1,5 +1,6 @@
 """Helpers that several test modules share and the package does not need."""
 
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -76,8 +77,13 @@ def reference_h(cop, u, v):
         elif cop.family == "gumbel":
             out = np.exp(-np.exp(_gumbel_log_t(cop, uc, vc) / th))
         else:
-            q = np.expm1(-th * uc) * np.expm1(-th * vc) / np.expm1(-th)
-            out = -np.log1p(q) / th
+            # log r = log1p(max(q, -1/2)) + log(min(2r, 1)), r = 1 + q written
+            # as two terms of one sign
+            tu, tv, c = -th * uc, -th * vc, math.expm1(-th)
+            a = np.expm1(tu) / c
+            q = np.maximum(a * np.expm1(tv), -0.5)
+            r = (a + a) * np.exp(tv) + np.exp(tu) * np.expm1(-th * (1.0 - uc)) * (2.0 / c)
+            out = (np.log1p(q) + np.log(np.minimum(r, 1.0))) * (-1.0 / th)
     out = np.where(np.asarray(u, dtype=float) == 1.0, np.clip(v, 0.0, 1.0), out)
     out = np.where(np.asarray(v, dtype=float) == 1.0, np.clip(u, 0.0, 1.0), out)
     return out if out.ndim else float(out)
@@ -173,6 +179,28 @@ def mp_partials(family, theta, u, v):
         u, v = mp.mpf(u), mp.mpf(v)
         h = psi(phi(u) + phi(v))
         return d1(v) / d1(h), -d1(u) * d1(v) * d2(h) / d1(h) ** 3
+
+
+def mp_log_abs_psi_deriv(family, theta, t, d):
+    """log|psi^(d)(t)| in mpmath, by routes independent of the package's:
+    Frank through the polylog, |psi^(d)| = Li_{1-d}(w) / theta with
+    w = (1 - e^-theta) e^-t, Clayton by its product formula, and Gumbel by
+    Faa di Bruno on exp(-t^(1/theta)), whose Bell-polynomial terms all have
+    the sign (-1)^d."""
+    import mpmath as mp
+
+    th, t = mp.mpf(theta), mp.mpf(t)
+    if family == "frank":
+        w = -mp.expm1(-th) * mp.exp(-t)
+        return mp.log((-mp.log1p(-w) if d == 0 else mp.polylog(1 - d, w)) / th)
+    if family == "clayton":
+        return mp.fsum(mp.log1p(j * th) for j in range(d)) - (1 / th + d) * mp.log1p(th * t)
+    beta = 1 / th
+    g = [None] + [-mp.ff(beta, j) * t ** (beta - j) for j in range(1, d + 1)]
+    bell = [mp.mpf(1)]
+    for n in range(d):
+        bell.append(mp.fsum(mp.binomial(n, i) * bell[n - i] * g[i + 1] for i in range(n + 1)))
+    return -(t**beta) + mp.log(abs(bell[d]))
 
 
 def reference_self_consistent(k, data, theta_hat, s_d, family):

@@ -16,7 +16,7 @@ from archsurv.dataio import (
 )
 from archsurv.errors import ConfigError
 from archsurv.predict import PredictionQuery
-from archsurv.simulate import SimConfig, ex1_config, ex2_config, ex3_config
+from archsurv.simulate import SimConfig, ex1_config, ex2_config, ex3_config, simulate_dataset
 from tests._cli import run_cli_subprocess
 
 
@@ -747,3 +747,18 @@ def test_fit_k1_summary_omits_alpha(tmp_path):
     assert "tau_theta_1" in summary
     doc = json.loads((tmp_path / "m.json").read_text())
     assert doc["alpha"] is None
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_fit_ten_onsets_exits_0(tmp_path, family):
+    # 9 or more observed onsets once ended the fit with exit code 3
+    config = SimConfig(
+        k=10, family=family, tau_thetas=tuple(np.linspace(0.7, 0.3, 10)),
+        tau_alpha=0.3, n_train=150, n_test=0, seed=4,
+    )
+    write_data_csv(tmp_path / "train.csv", simulate_dataset(config).train)
+    cfg = write_cfg(tmp_path / "run.cfg", f"family = {family}\n")
+    args = ["fit", "--data", tmp_path / "train.csv", "--config", cfg, "--out", tmp_path / "m.json"]
+    assert run_cli(args) == 0
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc["k"] == 10 and 0 < doc["tau_alpha"] < 1

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from archsurv.copulas import ArchimedeanCopula, tau_from_theta, theta_from_tau
-from archsurv.errors import DomainError, RangeError, UnsupportedOrder
+from archsurv.errors import DomainError, RangeError
 from tests._oracles import (
     copula_from_tau,
     mp_generator,
+    mp_log_abs_psi_deriv,
     mp_partials,
     reference_h,
     reference_partials,
@@ -175,15 +176,58 @@ def test_psi_deriv_matches_finite_differences(family, order):
 def test_psi_deriv_sign_alternates(family):
     cop = copula_from_tau(family, 0.5)
     t = np.linspace(0.05, 4.0, 9)
-    for d in range(0, 9):
+    for d in range(0, 13):
         vals = np.asarray(cop.psi_deriv(t, d))
         assert np.all((-1.0) ** d * vals >= 0.0)
 
 
-def test_psi_deriv_rejects_high_order():
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_log_abs_psi_deriv_matches_mpmath(family):
+    # no order cap and no underflow: Frank's third derivative at t = 800,
+    # tau 0.6, is -e^-802.07, which the linear form returned as -0.0
+    import mpmath as mp
+
+    t = np.array(
+        [1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.6, 1.0, 1.7, 3.0, 5.0, 7.0, 10.0,
+         20.0, 30.0, 60.0, 100.0, 300.0, 800.0]
+    )
+    for tau in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95):
+        cop = copula_from_tau(family, tau)
+        for d in range(0, 13):
+            got = np.asarray(cop.log_abs_psi_deriv(t, d))
+            with mp.workdps(50):
+                ref = np.array([float(mp_log_abs_psi_deriv(family, cop.theta, x, d)) for x in t])
+            err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+            assert err.max() <= 1e-14, (tau, d, t[err.argmax()], err.max())
+    if family == "frank":
+        cop = copula_from_tau("frank", 0.6)
+        assert cop.log_abs_psi_deriv(800.0, 3) == pytest.approx(-802.07, abs=0.01)
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_log_abs_psi_deriv_is_non_increasing_in_t(family, data):
+    # |psi^(d)(t)| = E[V^d e^(-tV)] of the frailty V falls as t grows
+    theta = data.draw(_THETA[family].filter(lambda th: th > 0), label="theta")
+    cop = ArchimedeanCopula(family, theta)
+    d = data.draw(st.integers(0, 15), label="d")
+    t = np.sort(data.draw(st.lists(st.floats(0.0, 1e3), min_size=2, max_size=8), label="t"))
+    vals = np.asarray(cop.log_abs_psi_deriv(np.append(t, np.inf), d))
+    assert np.all(np.isfinite(vals[:-1])) and vals[-1] == -np.inf
+    assert np.all(np.diff(vals) <= 1e-14 * np.maximum(1.0, np.abs(vals[1:])))
+
+
+def test_log_abs_psi_deriv_checks_its_arguments():
     cop = ArchimedeanCopula("clayton", 1.0)
-    with pytest.raises(UnsupportedOrder):
-        cop.psi_deriv(1.0, 9)
+    for d in (-1, 1.5):
+        with pytest.raises(DomainError):
+            cop.log_abs_psi_deriv(1.0, d)
+    with pytest.raises(DomainError):
+        cop.psi_deriv(-0.1, 2)
+    # a negative Frank theta's psi is not completely monotone
+    with pytest.raises(RangeError):
+        ArchimedeanCopula("frank", -2.0).log_abs_psi_deriv(1.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +343,26 @@ def test_partials_match_mpmath(family):
             )
         np.testing.assert_allclose(h2, ref[..., 0], rtol=5e-13, atol=0, err_msg=f"{tau}")
         np.testing.assert_allclose(h12, ref[..., 1], rtol=5e-13, atol=0, err_msg=f"{tau}")
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_h_matches_mpmath(family):
+    # Frank's -log1p(expm1(-th u) expm1(-th v) / expm1(-th)) / th cancelled
+    # near u = v = 1: 2.9e-10 off at tau 0.8, and +inf at tau 0.9 (0.999,
+    # 0.999) and tau 0.95 (0.5, 0.5)
+    import mpmath as mp
+
+    grid = np.array([1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999, 1.0 - 1e-6])
+    for tau in (0.01, 0.2, 0.5, 0.8, 0.9, 0.95):
+        cop = copula_from_tau(family, tau)
+        h = cop._h_clamped(grid[:, None], grid[None, :])
+        with mp.workdps(50), mp.extradps(int(cop.theta / 2) if family == "frank" else 0):
+            phi, _, _, psi = mp_generator(family, cop.theta)
+            ref = np.array(
+                [[psi(phi(mp.mpf(u)) + phi(mp.mpf(v))) for v in grid] for u in grid],
+                dtype=float,
+            )
+        np.testing.assert_allclose(h, ref, rtol=5e-14, atol=0, err_msg=f"{tau}")
 
 
 # ---------------------------------------------------------------------------

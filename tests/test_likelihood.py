@@ -19,7 +19,8 @@ from archsurv.likelihood import (
     maximize_alpha,
     model_aic,
 )
-from archsurv.simulate import SimConfig, ex1_config, ex2_config, simulate_dataset
+from archsurv.predict import PredictionQuery, predict_curves
+from archsurv.simulate import SimConfig, ex1_config, ex2_config, ex3_config, simulate_dataset
 from archsurv.survival import StepSurvival
 
 
@@ -640,3 +641,46 @@ def test_aic_prefers_generating_family():
             aic_g = model_aic(fit_joint_model(data, "gumbel"))
         wins += aic_f < aic_g
     assert wins / reps >= 0.7
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ex3_config(tau_alpha=0.2, n_train=100, n_test=0, seed=0),
+        ex1_config(k=3, tau_alpha=0.2, censor_upper=200.0, n_train=800, n_test=0, seed=0),
+    ],
+    ids=["ex3-k7", "cohort"],
+)
+def test_clayton_refit_terms_are_finite_at_strong_association(config):
+    # log|psi^(d)| taken after psi^(d) itself underflowed to 0 in 2 (ex3-k7)
+    # and 6 (cohort) records of these Frank draws refit with Clayton
+    data = simulate_dataset(config).train
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_joint_model(data, "clayton")
+    ws = LikelihoodWorkspace(
+        data, "clayton", [a.theta_hat for a in fit.thetas], fit.marginals, fit.terminal
+    )
+    terms = ws.loglik_terms(ArchimedeanCopula("clayton", theta_from_tau("clayton", 0.9)))
+    assert terms.size == data.n and np.all(np.isfinite(terms))
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_ten_onsets_fit_and_predict(family):
+    # no cap on the derivative order: records with 9 or 10 observed onsets
+    # once raised EstimationError("[alpha] order 9 exceeds maximum 8")
+    config = SimConfig(
+        k=10, family=family, tau_thetas=tuple(np.linspace(0.7, 0.3, 10)),
+        tau_alpha=0.3, n_train=150, n_test=0, seed=4,
+    )
+    data = simulate_dataset(config).train
+    assert np.sum(data.delta.sum(axis=1) >= 9) > 50
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_joint_model(data, family)
+    assert np.isfinite(fit.loglik) and 0.01 <= fit.tau_alpha <= 0.95
+    i = int(np.flatnonzero(data.delta.sum(axis=1) == 10)[0])
+    query = PredictionQuery(tuple((k, float(data.t[i, k])) for k in range(10)))
+    curve = predict_curves(query, fit, ("DP",)).values[0]
+    assert np.all(np.isfinite(curve)) and curve[0] <= 1.0 and curve[-1] >= 0.0
+    assert np.all(np.diff(curve) <= 1e-12)
