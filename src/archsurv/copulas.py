@@ -5,9 +5,9 @@ Three one-parameter families are supported (Frank, Clayton, Gumbel).  The
 generator ``phi`` maps (0, 1] onto [0, inf) and is strictly decreasing with
 ``phi(1) = 0``; ``psi`` is its inverse and equals the Laplace transform of a
 positive frailty distribution, which is what makes exchangeable sampling and
-high-order derivatives tractable.  Derivatives of any order come from one log
-kernel, ``log_abs_psi_deriv``: log|psi^(d)| stays finite where psi^(d) itself
-underflows, and there is no cap on d.
+high-order derivatives tractable.  ``psi`` and its derivatives of any order
+come from one log kernel, ``log_abs_psi_deriv``: log|psi^(d)| stays finite
+where psi^(d) itself underflows, and there is no cap on d.
 
 All evaluators accept scalars or numpy arrays and clamp copula arguments to
 ``[U_FLOOR, 1 - U_FLOOR]`` before use, since step-function marginals can hit
@@ -156,30 +156,18 @@ class ArchimedeanCopula:
         return out if out.ndim else float(out)
 
     def psi(self, t):
-        """Inverse generator psi = phi^{-1}; equals a frailty Laplace transform."""
-        t_arr = _as_array(t)
-        if np.any(t_arr < 0):
-            raise DomainError("psi requires t >= 0")
-        th = self.theta
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.family == "clayton":
-                out = np.exp(-np.log1p(th * t_arr) / th)
-            elif self.family == "gumbel":
-                out = np.exp(-(t_arr ** (1.0 / th)))
-            elif th > 0:
-                # 1 + e^-t expm1(-th) = -expm1(-t) + exp(-t-th), cancellation free
-                out = -np.log(-np.expm1(-t_arr) + np.exp(-t_arr - th)) / th
-            else:
-                out = -np.log1p(np.exp(-t_arr) * np.expm1(-th)) / th
-        out = np.where(np.isposinf(t_arr), 0.0, out)
-        return out if out.ndim else float(out)
+        """Inverse generator psi = phi^{-1}; equals a frailty Laplace transform.
+        It is `psi_deriv(t, 0)`, so Frank needs theta > 0."""
+        return self.psi_deriv(t, 0)
 
     def log_abs_psi_deriv(self, t, d: int):
         """log|psi^(d)(t)| for any order d >= 0 (log psi at d = 0, -inf at
         t = +inf); psi^(d) has sign (-1)^d.
 
         Clayton takes the product formula, Gumbel the cancellation-free
-        coefficient sum through logsumexp, and Frank, with w = (1 - e^-th) e^-t,
+        coefficient sum through logsumexp (exact at t = 0: psi(0) = 1, and
+        |psi^(d)(0)| = E[V^d] = inf for d >= 1 and th > 1), and Frank, with
+        w = (1 - e^-th) e^-t,
         |psi^(d)| = w A_{d-1}(w) / (th (1 - w)^d) for d >= 1 (A_n the Eulerian
         polynomial, with positive coefficients) and psi = -log(1 - w) / th.
         Frank needs th > 0: below it psi is not completely monotone.
@@ -188,7 +176,7 @@ class ArchimedeanCopula:
             raise DomainError("derivative order must be a non-negative integer")
         t_arr = _as_array(t)
         if np.any(t_arr < 0):
-            raise DomainError("psi derivatives require t >= 0")
+            raise DomainError("psi requires t >= 0")
         d, th = int(d), self.theta
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if self.family == "clayton":
@@ -197,12 +185,12 @@ class ArchimedeanCopula:
                 lt = np.log1p(th * t_arr)
                 out = math.fsum(math.log1p(j * th) for j in range(d)) - d * lt - lt / th
             elif self.family == "gumbel":
-                ts = np.maximum(t_arr, 1e-300)
                 powers, logcoef = _gumbel_deriv_logcoef(d, th)
-                expo = np.log(ts)[..., None] * powers + logcoef
+                expo = np.log(t_arr)[..., None] * powers + logcoef
                 m = expo.max(axis=-1)
-                out = m - ts ** (1.0 / th)
+                out = m - t_arr ** (1.0 / th)
                 out += np.log(np.exp(expo - m[..., None]).sum(axis=-1))
+                out = np.where(t_arr == 0, 0.0 if d == 0 or th == 1 else np.inf, out)
             elif th > 0:
                 lw = math.log(-math.expm1(-th)) - t_arr
                 w = np.exp(lw)
@@ -215,16 +203,15 @@ class ArchimedeanCopula:
                     out = lw + np.log(np.polyval(_eulerian_row(d - 1), w)) - d * l1mw
                 out -= math.log(th)
             else:
-                raise RangeError("frank psi derivatives require theta > 0")
+                raise RangeError("frank psi requires theta > 0")
         out = np.where(np.isposinf(t_arr), -np.inf, out)
         return out if out.ndim else float(out)
 
     def psi_deriv(self, t, d: int):
-        """d-th derivative of psi: (-1)^d exp(`log_abs_psi_deriv`), and
-        `psi` itself at d = 0."""
-        if d == 0:
-            return self.psi(t)
-        return (-1.0) ** d * np.exp(self.log_abs_psi_deriv(t, d))
+        """d-th derivative of psi, `psi` itself at d = 0: (-1)^d
+        exp(`log_abs_psi_deriv`)."""
+        out = (-1.0) ** d * np.exp(self.log_abs_psi_deriv(t, d))
+        return out if out.ndim else float(out)
 
     # -- bivariate copula and partials --------------------------------------
 
@@ -539,45 +526,43 @@ _DEBYE_SMALL = (
 )
 
 
-def _debye(x: float) -> float:
-    """Frank's Debye integral: the integral of t / (e^t - 1) over [0, x].
-
-    For |x| <= 2 the Bernoulli series x - x^2/4 + sum_k B_2k x^(2k+1) /
-    ((2k + 1) (2k)!), whose terms fall by (x / 2 pi)^2 each; above it
-    pi^2/6 - sum_k e^(-kx) (x/k + 1/k^2), summed from the smallest term;
-    and I(-x) = -(x^2/2 + I(x)) below zero.
-    """
-    if x < 0:
-        return -(0.5 * x * x + _debye(-x))
-    if x <= 2.0:
-        x2 = x * x
-        acc = 0.0
-        for c in reversed(_DEBYE_SMALL):
-            acc = acc * x2 + c
-        return x - 0.25 * x2 + x * x2 * acc
-    tail = 0.0
-    for k in range(int(45.0 / x) + 1, 0, -1):
-        tail += math.exp(-k * x) * (x / k + 1.0 / (k * k))
-    return math.pi**2 / 6.0 - tail
-
-
 @lru_cache(maxsize=200_000)
 def tau_from_theta(family: str, theta: float) -> float:
-    """Kendall's tau for a family/parameter pair (closed form per family)."""
+    """Kendall's tau for a family/parameter pair (closed form per family).
+
+    Frank's tau = 1 - 4/x (1 - D(x)/x), x = |theta| and D(x) the integral
+    of t / (e^t - 1) over [0, x], taken with the sign of theta.  That form
+    cancels as x -> 0, so for x <= 2 tau is 4 theta sum_k c_k theta^(2k-2)
+    over the `_DEBYE_SMALL` coefficients c_k: D's Bernoulli series x - x^2/4
+    + sum_k c_k x^(2k+1) with its two leading terms cancelled exactly, whose
+    terms fall by (x / 2 pi)^2 each.  Above 2, D(x) = pi^2/6 - sum_k e^(-kx)
+    (x/k + 1/k^2), summed from the smallest term.
+    """
     _check_theta(family, theta)
     if family == "clayton":
         return theta / (theta + 2.0)
     if family == "gumbel":
         return 1.0 - 1.0 / theta
-    return 1.0 - 4.0 / theta * (1.0 - _debye(theta) / theta)
+    x = abs(theta)
+    if x <= 2.0:
+        x2, acc = x * x, 0.0
+        for c in reversed(_DEBYE_SMALL):
+            acc = acc * x2 + c
+        return 4.0 * theta * acc
+    tail = 0.0
+    for k in range(int(45.0 / x) + 1, 0, -1):
+        tail += math.exp(-k * x) * (x / k + 1.0 / (k * k))
+    debye = math.pi**2 / 6.0 - tail
+    return math.copysign(1.0 - 4.0 / x * (1.0 - debye / x), theta)
 
 
 @lru_cache(maxsize=200_000)
 def theta_from_tau(family: str, tau: float) -> float:
     """Invert the monotone tau(theta) map for a family.
 
-    Clayton/Gumbel have closed inverses; Frank is solved by bracketed
-    root-finding (xtol 1e-10, rtol 1e-12).
+    Clayton/Gumbel have closed inverses.  Frank's |theta| is the root of
+    tau(x) = |tau| on [4.5 |tau|, 8 / (1 - |tau|)], a bracket because
+    tau(x) <= x / 9 and tau(x) >= 1 - 4 / x, solved by brentq to RTOL_MIN.
     """
     if not -1.0 < tau < 1.0:
         raise RangeError(f"tau must lie in (-1, 1), got {tau}")
@@ -595,26 +580,8 @@ def theta_from_tau(family: str, tau: float) -> float:
         raise RangeError("frank tau = 0 is the independence limit (theta -> 0)")
     if abs(tau) > 0.995:
         raise RangeError(f"frank tau = {tau} needs theta beyond supported range")
-
-    def f(th):
-        return tau_from_theta("frank", th) - tau
-
-    sgn = 1.0 if tau > 0 else -1.0
-
-    def g(mag):
-        return sgn * f(sgn * mag)  # increasing in the magnitude of theta
-
-    lo, hi = 1e-8, 8.0
-    for _ in range(90):
-        if g(lo) <= 0:
-            break
-        lo /= 4.0
-    for _ in range(90):
-        if g(hi) >= 0:
-            break
-        hi *= 2.0
-    if g(lo) > 0 or g(hi) < 0:
-        raise RangeError(f"no bracket for frank tau = {tau}")
-    mag, _ = brentq(g, lo, hi, xtol=1e-10, rtol=1e-12)
-    return float(sgn * mag)
-
+    a = abs(tau)
+    mag, _ = brentq(
+        lambda x: tau_from_theta("frank", x) - a, 4.5 * a, 8.0 / (1.0 - a), xtol=0.0
+    )
+    return math.copysign(mag, tau)

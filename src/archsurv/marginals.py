@@ -227,7 +227,7 @@ def solve_theta(
         s_c = censoring_km(data)
     table = _PairTable(k, data, s_c, weight_spec)
     if table.pairs == 0:
-        raise NoComparablePairs(f"event {k}: no comparable pairs")
+        raise NoComparablePairs(f"onset {k + 1}: no comparable pairs")
 
     def f(tau):
         return table.score(ArchimedeanCopula(family, theta_from_tau(family, tau)))
@@ -237,13 +237,13 @@ def solve_theta(
     boundary = f_lo < 0 and f_hi < 0
     if boundary:
         warnings.warn(
-            f"event {k}: association at or below independence "
+            f"onset {k + 1}: association at or below independence "
             f"(U({lo})={f_lo:.4g}); tau set to {lo}"
         )
         tau_hat, evals = lo, 0
     elif f_lo * f_hi > 0:
         raise NoRootError(
-            f"event {k}: no sign change on tau in [{lo}, {hi}] "
+            f"onset {k + 1}: no sign change on tau in [{lo}, {hi}] "
             f"(U({lo})={f_lo:.4g}, U({hi})={f_hi:.4g})"
         )
     else:
@@ -313,7 +313,7 @@ def self_consistent_marginal(
     converged = False
     it = 0
     for it in range(1, SC_MAX_SWEEPS + 1):
-        u_grid = s.clip(1e-12, 1.0)[:, None]
+        u_grid = s[:, None]
         new = at_risk.copy()
         if tb.size:
             cop._h_clamped(u_grid, vb[None, :], out=num_b)
@@ -330,7 +330,7 @@ def self_consistent_marginal(
             break
     if not converged:
         warnings.warn(
-            f"self-consistency for event {k} stopped after {SC_MAX_SWEEPS} sweeps",
+            f"self-consistency for onset {k + 1} stopped after {SC_MAX_SWEEPS} sweeps",
             RuntimeWarning,
         )
     if info is not None:

@@ -305,7 +305,7 @@ def _method_keys(query, methods):
         if base == "DP" and query.m < 2:
             base, k = ("Pk", query.events[0][0]) if query.m else ("P0", None)
         if k is not None and k not in observed:
-            raise DomainError(f"event {k} not observed in the query")
+            raise DomainError(f"onset {k + 1} not observed in the query")
         if k is None:
             keys.append(base)
         else:

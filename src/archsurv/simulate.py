@@ -47,6 +47,9 @@ class SimConfig:
             raise ConfigError("censoring upper bound must be positive and finite")
         if self.n_train < 0 or self.n_test < 0:
             raise ConfigError("n_train and n_test must be >= 0")
+        if self.family == "frank" and not self.tau_alpha > 0:
+            # the global copula is drawn through a frailty, which needs theta > 0
+            raise ConfigError(f"frank tau_alpha must be > 0, got {self.tau_alpha}")
         try:
             theta_from_tau(self.family, self.tau_alpha)
             for tau in self.tau_thetas:

@@ -84,6 +84,17 @@ def test_simulate_deterministic_bytes(workdir, tmp_path):
     assert out2.read_bytes() == (tmp / "train.csv").read_bytes()
 
 
+@pytest.mark.parametrize("tau", ["-0.3", "0"])
+def test_simulate_rejects_a_frank_global_tau_at_or_below_zero(tmp_path, capsys, tau):
+    # the global copula is sampled through a frailty, which needs theta > 0;
+    # -0.3 once passed the config and died with a RangeError traceback
+    cfg = write_cfg(tmp_path / "bad.cfg", f"family = frank\nsim.tau_alpha = {tau}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x.csv"])
+    assert exc.value.code == 2
+    assert "tau_alpha" in capsys.readouterr().err
+
+
 def test_simulate_rejects_bad_tau(tmp_path):
     cfg = write_cfg(
         tmp_path / "bad.cfg",
@@ -395,7 +406,7 @@ def test_predict_exits_4_at_the_first_failing_subject(workdir, tmp_path, capsys)
         run_cli(["predict", "--model", tmp / "model.json", "--queries", qpath,
                  "--out", tmp_path / "p.csv", "--method", "Pk:9"])
     assert exc.value.code == 4
-    assert "subject a: event 8 not observed" in capsys.readouterr().err
+    assert "subject a: onset 9 not observed" in capsys.readouterr().err
 
 
 def test_predict_reload_identical(workdir, tmp_path):

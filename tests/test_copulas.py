@@ -214,8 +214,11 @@ def test_log_abs_psi_deriv_is_non_increasing_in_t(family, data):
     d = data.draw(st.integers(0, 15), label="d")
     t = np.sort(data.draw(st.lists(st.floats(0.0, 1e3), min_size=2, max_size=8), label="t"))
     vals = np.asarray(cop.log_abs_psi_deriv(np.append(t, np.inf), d))
-    assert np.all(np.isfinite(vals[:-1])) and vals[-1] == -np.inf
-    assert np.all(np.diff(vals) <= 1e-14 * np.maximum(1.0, np.abs(vals[1:])))
+    # E[V^d] = |psi^(d)(0)| is infinite for Gumbel's stable frailty at d >= 1
+    at_inf = (t == 0) & (family == "gumbel") & (d > 0) & (theta > 1)
+    assert np.all(vals[:-1][at_inf] == np.inf) and vals[-1] == -np.inf
+    assert np.all(np.isfinite(vals[:-1][~at_inf]))
+    assert np.all(vals[1:] <= vals[:-1] + 1e-14 * np.maximum(1.0, np.abs(vals[1:])))
 
 
 def test_log_abs_psi_deriv_checks_its_arguments():
@@ -228,6 +231,39 @@ def test_log_abs_psi_deriv_checks_its_arguments():
     # a negative Frank theta's psi is not completely monotone
     with pytest.raises(RangeError):
         ArchimedeanCopula("frank", -2.0).log_abs_psi_deriv(1.0, 1)
+
+
+PSI_TAUS = (0.01, 0.1, 0.5, 0.9, 0.95, 0.99)
+
+
+@pytest.mark.parametrize("tau", PSI_TAUS)
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_psi_matches_mpmath(family, tau):
+    # psi is read from the log kernel: relative error at most 1e-15 times
+    # max(1, -log psi), the absolute error of log psi.  Frank's former own
+    # formula was 1.4e-6 off at t = 24 and read -0.0 at t = 40, theta = 5
+    import mpmath as mp
+
+    cop = copula_from_tau(family, tau)
+    t = np.logspace(-12, 3, 46)
+    got = np.asarray(cop.psi(np.r_[0.0, t, np.inf]))
+    assert got[0] == 1.0 and got[-1] == 0.0
+    # the mpmath Frank psi cancels e^-theta against 1: theta extra digits
+    with mp.workdps(50 + (int(cop.theta) if family == "frank" else 0)):
+        psi = mp_generator(family, cop.theta)[3]
+        exact = [psi(mp.mpf(x)) for x in t]
+        ref = np.array([float(e) for e in exact])
+        neg_log = np.array([float(-mp.log(e)) for e in exact])
+    bound = 1e-15 * np.maximum(1.0, neg_log) * ref + np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got[1:-1] - ref) <= bound), (tau, t[np.argmax(np.abs(got[1:-1] - ref) / bound)])
+
+
+def test_psi_spot_values():
+    assert ArchimedeanCopula("frank", 5.0).psi(40.0) == pytest.approx(8.43945813897219e-19, rel=1e-13)
+    assert copula_from_tau("gumbel", 0.95).psi(0.0) == 1.0
+    assert isinstance(ArchimedeanCopula("clayton", 2.0).psi_deriv(1.0, 2), float)
+    with pytest.raises(RangeError):
+        ArchimedeanCopula("frank", -2.0).psi(1.0)
 
 
 # ---------------------------------------------------------------------------

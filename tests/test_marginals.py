@@ -11,7 +11,7 @@ from archsurv import marginals
 
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
 from archsurv.data import SurvivalData
-from archsurv.errors import DomainError, NoComparablePairs, NoRootError
+from archsurv.errors import DomainError, EstimationError, NoComparablePairs, NoRootError
 from archsurv.likelihood import (
     FittedJointModel,
     bootstrap_fit,
@@ -300,8 +300,24 @@ def test_solve_theta_comonotone_degenerate():
     data = SurvivalData(
         t=onset[:, None], delta=np.ones((120, 1)), y=y, dtilde=np.ones(120)
     )
-    with pytest.raises(NoRootError):
+    with pytest.raises(NoRootError, match="onset 1: no sign change"):
         solve_theta(0, data, "frank")
+
+
+def test_messages_name_onsets_from_one(monkeypatch):
+    # as Pk:K, t1..tK and theta_k_pairs do; a fit once failed with
+    # "theta[2]: event 1: no comparable pairs"
+    data = _sim(ex1_config(k=2, n_train=60, n_test=0, seed=1)).train
+    t = data.t.copy()
+    t[:, 1] = data.y
+    no_onset_2 = SurvivalData(t, data.delta * [1, 0], data.y, data.dtilde)
+    with pytest.raises(NoComparablePairs, match="^onset 2: no comparable pairs$"):
+        solve_theta(1, no_onset_2, "frank")
+    with pytest.raises(EstimationError, match=r"^\[theta\[2\]\] onset 2: no comparable"):
+        fit_joint_model(no_onset_2, "frank")
+    monkeypatch.setattr(marginals, "SC_MAX_SWEEPS", 1)
+    with pytest.warns(RuntimeWarning, match="self-consistency for onset 1 stopped after 1 sweeps"):
+        self_consistent_marginal(0, data, 5.0, terminal_km(data), "frank")
 
 
 def test_solve_theta_below_independence_returns_lower_end():
@@ -314,9 +330,11 @@ def test_solve_theta_below_independence_returns_lower_end():
         t=onset[:, None], delta=np.ones((120, 1)), y=d, dtilde=np.ones(120)
     )
     info = {}
-    with pytest.warns(UserWarning, match="at or below independence"):
+    with pytest.warns(UserWarning, match="onset 1: association at or below independence"):
         est = solve_theta(0, data, "frank", info=info)
-    assert est.tau_hat == pytest.approx(TAU_BRACKET[0], rel=1e-9)
+    # exactly the bracket end: Frank's tau(theta) cancelled here and gave
+    # 0.0010000000002364784
+    assert est.tau_hat == TAU_BRACKET[0]
     assert info["boundary"] and info["evals"] == 0
 
 
@@ -410,11 +428,12 @@ def test_bootstrap_survives_replicate_below_independence():
     res = _sim(ex1_config(k=3, censor_upper=5, n_train=200, n_test=200, seed=3))
     out = bootstrap_fit(res.train, "frank", b=4, seed=7)
     assert out["failures"] == 0
-    assert out["tau_theta_draws"][1, 2] == pytest.approx(TAU_BRACKET[0], rel=1e-9)
+    assert out["tau_theta_draws"][1, 2] == TAU_BRACKET[0]
     sample = res.train.resample(np.random.default_rng([7, 1]))
-    with pytest.warns(UserWarning, match="at or below independence"):
+    with pytest.warns(UserWarning, match="onset 3: association at or below independence"):
         fit = fit_joint_model(sample, "frank")
     assert fit.diagnostics["theta_3_boundary"] is True
+    assert fit.thetas[2].tau_hat == TAU_BRACKET[0]
     assert "theta_1_boundary" not in fit.diagnostics
 
 

@@ -428,8 +428,8 @@ def test_curve_matrix_method_grammar():
     for bad in ("XX", "Pk", "Pk:one", "Pkx:1"):
         with pytest.raises(ConfigError):
             predict_curves(q, model, [bad])
-    with pytest.raises(DomainError):
-        predict_curves(q, model, ["Pk:2"])  # onset 2 not observed
+    with pytest.raises(DomainError, match="^onset 2 not observed in the query$"):
+        predict_curves(q, model, ["Pk:2"])
     with pytest.raises(DomainError):
         predict_curves(q, model, ["DP"], times=[0.4, 1.0])
     # cmst, cqst and prediction_interval read the grid in order: on

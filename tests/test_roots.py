@@ -1,5 +1,6 @@
-"""The scalar solvers and Frank's Debye integral against their oracles:
-scipy's brentq and bounded minimize_scalar (used only here), and mpmath."""
+"""The scalar solvers and Frank's Kendall tau, a Debye-integral series,
+against their oracles: scipy's brentq and bounded minimize_scalar (used
+only here), and mpmath."""
 
 import math
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from archsurv._roots import RTOL_MIN, brentq, minimize_bounded
-from archsurv.copulas import _DEBYE_SMALL, ArchimedeanCopula, _debye, theta_from_tau
+from archsurv.copulas import _DEBYE_SMALL, ArchimedeanCopula, tau_from_theta, theta_from_tau
 from archsurv.errors import NoRootError
 from archsurv.likelihood import TAU_BOUNDS, LikelihoodWorkspace, fit_joint_model
 from archsurv.marginals import TAU_BRACKET, WeightSpec, _PairTable, censoring_km, solve_theta
@@ -129,17 +130,25 @@ def test_brentq_raises_on_nan_and_on_exhausted_iterations():
     assert brentq(lambda x: x, 0.0, 2.0, xtol=1e-12) == (0.0, 2)
 
 
-# -- Frank's Debye integral --------------------------------------------------
+# -- Frank's tau(theta) and its inverse -----------------------------------------
 
 
-def _debye_mpmath(x):
-    """The integral of t / (e^t - 1) over [0, x] at 50 digits, as x^2 times
-    the integral of s / (e^(xs) - 1) over [0, 1], so that the quadrature
-    sees unit scale at any x; the nodes split where the integrand bends."""
-    with mp.workdps(50):
-        x = mp.mpf(x)
+def _frank_tau_mpmath(theta):
+    """Frank's tau = 1 - 4/theta + 4 D(theta) / theta^2 in mpmath, D the
+    integral of t / (e^t - 1) over [0, theta], taken as theta^2 times the
+    integral of s / (e^(theta s) - 1) over [0, 1], so that the quadrature sees
+    unit scale at any theta; the nodes split where the integrand bends.  The
+    form cancels 36 / theta^2 of its size, so the digits grow as |theta|
+    falls; below 1e-6 the expansion theta/9 - theta^3/900 is exact past
+    double precision."""
+    if abs(theta) < 1e-6:
+        with mp.workdps(50):
+            x = mp.mpf(theta)
+            return x / 9 - x**3 / 900
+    with mp.workdps(40 + 2 * max(0, math.ceil(-math.log10(abs(theta))))):
+        x = mp.mpf(theta)
         nodes = [0] + [c / abs(x) for c in (1, 5, 40) if c < abs(x)] + [1]
-        return x * mp.quad(lambda s: x * s / mp.expm1(x * s), nodes)
+        return 1 - 4 / x + 4 * mp.quad(lambda s: s / mp.expm1(x * s), nodes)
 
 
 DEBYE_POINTS = (
@@ -151,16 +160,17 @@ DEBYE_POINTS = (
 
 @pytest.mark.parametrize("x", DEBYE_POINTS + [-x for x in DEBYE_POINTS])
 def test_debye_series_matches_mpmath(x):
-    ref = _debye_mpmath(x)
-    assert abs((mp.mpf(_debye(x)) - ref) / ref) <= 2.5e-16
+    # Frank's tau at theta = x: the series below |x| = 2, the tail above it
+    ref = _frank_tau_mpmath(x)
+    assert abs((mp.mpf(tau_from_theta("frank", x)) - ref) / ref) <= 1e-15
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.floats(-12.0, 8.0), st.booleans())
+@given(st.floats(math.log(1e-10), math.log(700.0)), st.booleans())
 def test_debye_series_matches_mpmath_on_a_log_scale(log_x, negative):
     x = -math.exp(log_x) if negative else math.exp(log_x)
-    ref = _debye_mpmath(x)
-    assert abs((mp.mpf(_debye(x)) - ref) / ref) <= 2.5e-16
+    ref = _frank_tau_mpmath(x)
+    assert abs((mp.mpf(tau_from_theta("frank", x)) - ref) / ref) <= 1e-15
 
 
 def test_debye_small_coefficients_are_the_bernoulli_numbers():
@@ -169,6 +179,17 @@ def test_debye_small_coefficients_are_the_bernoulli_numbers():
             return mp.bernoulli(2 * k) / ((2 * k + 1) * mp.factorial(2 * k))
 
     assert _DEBYE_SMALL == tuple(float(coef(k)) for k in range(1, len(_DEBYE_SMALL) + 1))
-    # the first omitted term is far below half an ulp of the integral at x = 2
+    # the first omitted term of tau = 4 sum_k c_k theta^(2k - 1) is far below
+    # half an ulp of tau at theta = 2
     k = len(_DEBYE_SMALL) + 1
-    assert abs(float(coef(k)) * 2 ** (2 * k + 1)) < np.spacing(_debye(2.0)) / 100
+    assert abs(4 * float(coef(k)) * 2 ** (2 * k - 1)) < np.spacing(tau_from_theta("frank", 2.0)) / 100
+
+
+FRANK_TAUS = [10.0**e for e in range(-12, 0)] + [0.2, 0.5, 0.9, 0.99, 0.995]
+
+
+@pytest.mark.parametrize("tau", FRANK_TAUS + [-tau for tau in FRANK_TAUS])
+def test_frank_theta_from_tau_round_trip(tau):
+    # the closed form cancelled at small theta: the round trip at tau = 1e-9
+    # read -1.6e-9
+    assert abs(tau_from_theta("frank", theta_from_tau("frank", tau)) - tau) <= 1e-15 * abs(tau)

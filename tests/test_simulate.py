@@ -242,6 +242,11 @@ def test_config_validation():
         SimConfig(k=1, family="clayton", tau_alpha=-0.5, tau_thetas=(0.5,))
     with pytest.raises(ConfigError):
         SimConfig(k=1, tau_thetas=(0.5,), censor_upper=-1.0)
+    # a Frank global copula needs theta > 0 for its frailty; pairwise
+    # associations may be negative
+    with pytest.raises(ConfigError, match="frank tau_alpha must be > 0"):
+        SimConfig(k=1, family="frank", tau_alpha=-0.3, tau_thetas=(0.5,))
+    SimConfig(k=1, family="frank", tau_alpha=0.3, tau_thetas=(-0.5,))
     # each of these once ran: an untyped OverflowError, data with a
     # RuntimeWarning, or a run on a negative size
     for bad in (
