@@ -58,6 +58,184 @@ def _check_theta(family: str, theta: float) -> None:
         raise RangeError(f"unknown copula family {family!r}")
 
 
+# -- H and H2 from factors of u alone and of v alone ---------------------------
+#
+# Each family's joint survival H(u, v) and conditional H2(u, v) = dH/dv are
+# written once (`_h_cells`, `_h2_cells`), over factors of u alone
+# (`_u_factors`, `_h_u_factors`) and of v alone (`_v_factors`) at clamped
+# arguments.  theta is a scalar, or an array that broadcasts with the
+# factors: one theta per grid row in `_u_factors`, one per cell in the cell
+# kernels.  `h`, `h2` and `partials` take the factors on broadcast grids;
+# the self-consistency sweeps take the v factors once per fit and the u
+# factors once per sweep, and gather both per cell.  The kernels write into
+# `out`, an array of the cells' shape, and use the `_TEMPS` scratch arrays
+# `tmp` if given; `out` may be the first u factor itself and tmp[0] the
+# second.  They are called under `np.errstate(**_ERRSTATE)`.
+
+_ERRSTATE = dict(over="ignore", divide="ignore", invalid="ignore")
+# the scratch arrays the cell kernels take as `tmp`
+_TEMPS = {"clayton": 2, "frank": 1, "gumbel": 1}
+
+
+def _neg_expm1(th):
+    """expm1(-theta) by `math.expm1`, elementwise for an array theta."""
+    if np.ndim(th) == 0:
+        return math.expm1(-th)
+    return np.array([math.expm1(-x) for x in np.ravel(th)]).reshape(np.shape(th))
+
+
+def _u_factors(family, th, uc):
+    """The factors of u alone that H2 reads: Clayton -th log u, Gumbel
+    th log(-log u), and Frank A = expm1(-th u) and B = e^(-th u)
+    expm1(-th (1 - u)).  `_h_u_factors` derives H's from them."""
+    if family == "clayton":
+        return (-th * np.log(uc),)
+    if family == "gumbel":
+        return (th * np.log(-np.log(uc)),)
+    tu = -th * uc
+    return np.expm1(tu), np.exp(tu) * np.expm1(-th * (1.0 - uc))
+
+
+def _h_u_factors(family, th, uf):
+    """H's factors of u from H2's: the same for Clayton and Gumbel, and for
+    Frank (a, a + a, B (2 / c)), a = A / c, c = expm1(-th)."""
+    if family != "frank":
+        return uf
+    c = _neg_expm1(th)
+    a = uf[0] / c
+    return a, a + a, uf[1] * (2.0 / c)
+
+
+def _v_factors(family, th, vc, kind):
+    """The factors of v alone in H or H2: Clayton -th log v, and for H2
+    (th + 1) log v; Gumbel th log(-log v), and for H2 (th - 1) log(-log v)
+    and log v; Frank expm1(-th v) and e^(-th v) for H, e^(-th v) for H2."""
+    if family == "frank":
+        tv = -th * vc
+        return (np.expm1(tv), np.exp(tv)) if kind == "h" else (np.exp(tv),)
+    lv = np.log(vc)
+    if family == "clayton":
+        return (-th * lv,) if kind == "h" else (-th * lv, (th + 1.0) * lv)
+    lly = np.log(-lv)
+    return (th * lly,) if kind == "h" else (th * lly, (th - 1.0) * lly, lv)
+
+
+def _scratch(tmp, i, like):
+    """`tmp[i]` if scratch arrays are given, else a new array like `like`."""
+    return np.empty_like(like) if tmp is None else tmp[i]
+
+
+def _h_cells(family, th, uf, vf, out, tmp=None):
+    """H from its u and v factors, into `out`."""
+    if family == "clayton":
+        out = _clayton_log_a(uf[0], vf[0], out, tmp)
+        np.negative(out, out=out)  # exp(-la / th)
+        out /= th
+        return np.exp(out, out=out)
+    if family == "gumbel":
+        out = _gumbel_log_t(uf[0], vf[0], out, tmp)  # exp(-exp(lt / th))
+        out /= th
+        np.exp(out, out=out)
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
+    # -log(r) / th, r = 1 + q, q = a expm1(-th v), a = expm1(-th u) / expm1(-th):
+    # log1p(q) while q >= -1/2; below it 1 + q cancels, and r is taken as
+    # b + a e^(-th v) (`_frank_h2`'s same-sign denominator over expm1(-th)),
+    # so log r = log1p(max(q, -1/2)) + log(min(2r, 1))
+    a, a2, b2 = uf
+    em1, e = vf
+    np.multiply(a, em1, out=out)
+    np.maximum(out, -0.5, out=out)
+    np.log1p(out, out=out)
+    r = np.multiply(a2, e, out=_scratch(tmp, 0, out))
+    r += b2
+    out += np.log(np.minimum(r, 1.0, out=r), out=r)
+    out *= -1.0 / th
+    return out
+
+
+def _h2_cells(family, th, uf, vf, out, tmp=None):
+    """H2 from its u and v factors, into `out` (not yet clipped to [0, 1])."""
+    if family == "clayton":
+        la = _clayton_log_a(uf[0], vf[0], out, tmp)
+        return _clayton_h2(th, la, vf[1], out=la)
+    if family == "gumbel":
+        lt = _gumbel_log_t(uf[0], vf[0], out, tmp)
+        s = np.divide(lt, th, out=_scratch(tmp, 0, lt))
+        np.exp(s, out=s)
+        return _gumbel_h2(th, lt, s, vf[1], vf[2], out=lt)
+    return _frank_h2(uf[0], uf[1], vf[0], out, tmp)[0]
+
+
+def _h_edges(out, u, v):
+    """H(1, v) = v, then H(u, 1) = u, where an unclamped argument is 1:
+    whole rows or columns of an outer grid."""
+    for one, other in ((u, v), (v, u)):
+        is_one = _as_array(one) == 1.0
+        if is_one.any():
+            np.copyto(out, np.clip(other, 0.0, 1.0), where=is_one)
+
+
+def _clayton_log_a(lu, lv, out=None, tmp=None):
+    # log(u^-th + v^-th - 1) = m + log(e^(lu - m) + e^(lv - m) - e^-m),
+    # m = max(lu, lv), from lu = -th log u and lv = -th log v: log space
+    # survives large theta
+    acc = _out(out, lu, lv)
+    m = np.maximum(lu, lv, out=_scratch(tmp, 0, acc))
+    np.subtract(lu, m, out=acc)
+    np.exp(acc, out=acc)
+    t = _scratch(tmp, 1, m)
+    acc += np.exp(np.subtract(lv, m, out=t), out=t)
+    acc -= np.exp(np.negative(m, out=t), out=t)
+    np.log(acc, out=acc)
+    acc += m
+    return acc
+
+
+def _gumbel_log_t(lx, ly, out=None, tmp=None):
+    # log(x^th + y^th), x = -log u, y = -log v, from lx = th log x, ly = th log y
+    m = _out(out, lx, ly)
+    t = np.subtract(lx, ly, out=_scratch(tmp, 0, m))
+    np.maximum(lx, ly, out=m)
+    np.abs(t, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    m += np.log1p(t, out=t)
+    return m
+
+
+# Each family's H2(u, v) from the terms H1, H2 and H12 share; by
+# exchangeability H1(u, v) is the same expression with u and v swapped.
+# `out` may be the shared-term array itself.
+
+
+def _frank_h2(a, b, e, out=None, tmp=None):
+    # (H2, denominator) with H2 = n / (n + b), n = e^(-th v) a, a = expm1(-th u)
+    # and b = e^(-th u) expm1(-th (1 - u)): the denominator expm1(-th) +
+    # expm1(-th u) expm1(-th v) as two terms of one sign, which does not
+    # cancel as th grows.  `out` receives H2.
+    n = np.multiply(e, a, out=_out(out, a, e))
+    denom = np.add(n, b, out=None if tmp is None else tmp[0])
+    return np.divide(n, denom, out=n), denom
+
+
+def _clayton_h2(th, la, lv1, out=None):
+    # exp(-(1 + 1/th) la - (th + 1) log v), lv1 = (th + 1) log v
+    out = np.multiply(la, -(1.0 + 1.0 / th), out=_out(out, la))
+    out -= lv1
+    return np.exp(out, out=out)
+
+
+def _gumbel_h2(th, lt, s, lly1, lv, out=None):
+    # exp(-s + (1/th - 1) lt + (th - 1) log(-log v) - log v), lly1 the
+    # middle term
+    out = np.multiply(lt, 1.0 / th - 1.0, out=_out(out, lt))
+    out -= s
+    out += lly1
+    out -= lv
+    return np.exp(out, out=out)
+
+
 @lru_cache(maxsize=64)
 def _eulerian_row(n: int) -> tuple:
     """Eulerian numbers A(n, 0..n-1), the coefficients of the Eulerian
@@ -224,93 +402,15 @@ class ArchimedeanCopula:
 
     def _h_clamped(self, u, v, out=None):
         uc, vc = _clamp_unit(u), _clamp_unit(v)
-        th = self.theta
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if self.family == "clayton":
-                out = self._clayton_log_a(uc, vc, out)
-                np.negative(out, out=out)  # exp(-la / th)
-                out /= th
-                np.exp(out, out=out)
-            elif self.family == "gumbel":
-                out = self._gumbel_log_t(uc, vc, out)  # exp(-exp(lt / th))
-                out /= th
-                np.exp(out, out=out)
-                np.negative(out, out=out)
-                np.exp(out, out=out)
-            else:
-                # -log(r) / th, r = 1 + q, q = a expm1(-th v), a = expm1(-th u) / expm1(-th):
-                # log1p(q) while q >= -1/2; below it 1 + q cancels, and r is taken
-                # as b + a e^(-th v) (`_frank_h2`'s same-sign denominator over
-                # expm1(-th)), so log r = log1p(max(q, -1/2)) + log(min(2r, 1))
-                tu, tv, c = -th * uc, -th * vc, math.expm1(-th)
-                a = np.expm1(tu) / c
-                out = np.multiply(a, np.expm1(tv), out=_out(out, uc, vc))
-                np.maximum(out, -0.5, out=out)
-                np.log1p(out, out=out)
-                r = np.multiply(a + a, np.exp(tv), out=np.empty_like(out))
-                r += np.exp(tu) * np.expm1(-th * (1.0 - uc)) * (2.0 / c)
-                out += np.log(np.minimum(r, 1.0, out=r), out=r)
-                out *= -1.0 / th
-        # H(1, v) = v, then H(u, 1) = u: whole rows or columns of an outer grid
-        for one, other in ((u, v), (v, u)):
-            is_one = _as_array(one) == 1.0
-            if is_one.any():
-                np.copyto(out, np.clip(other, 0.0, 1.0), where=is_one)
+        fam, th = self.family, self.theta
+        with np.errstate(**_ERRSTATE):
+            out = _h_cells(
+                fam, th, _h_u_factors(fam, th, _u_factors(fam, th, uc)),
+                _v_factors(fam, th, vc, "h"),
+                _out(out, uc, vc),
+            )
+        _h_edges(out, u, v)
         return out if out.ndim else float(out)
-
-    def _clayton_log_a(self, u, v, out=None):
-        # log(u^-th + v^-th - 1), computed in log space to survive large theta
-        th = self.theta
-        lu, lv = -th * np.log(u), -th * np.log(v)
-        m = np.maximum(lu, lv, out=_out(out, lu, lv))
-        acc, tmp = np.empty_like(m), np.empty_like(m)
-        np.exp(np.subtract(lu, m, out=acc), out=acc)
-        acc += np.exp(np.subtract(lv, m, out=tmp), out=tmp)
-        acc -= np.exp(np.negative(m, out=tmp), out=tmp)
-        m += np.log(acc, out=acc)
-        return m
-
-    def _gumbel_log_t(self, u, v, out=None):
-        th = self.theta
-        lx = th * np.log(-np.log(u))
-        ly = th * np.log(-np.log(v))
-        m = np.maximum(lx, ly, out=_out(out, lx, ly))
-        tmp = np.subtract(lx, ly, out=np.empty_like(m))
-        np.abs(tmp, out=tmp)
-        np.negative(tmp, out=tmp)
-        np.exp(tmp, out=tmp)
-        m += np.log1p(tmp, out=tmp)
-        return m
-
-    # Each family's H2(u, v) from the terms H1, H2 and H12 share; by
-    # exchangeability H1(u, v) is the same expression with u and v swapped.
-    # `out` may be the shared-term array itself.
-
-    def _frank_h2(self, uc, vc, out=None):
-        # (H2, denominator) with H2 = n / (n + exp(-th u) expm1(-th (1 - u))),
-        # n = exp(-th v) expm1(-th u): the denominator expm1(-th) +
-        # expm1(-th u) expm1(-th v) as two terms of one sign, which does not
-        # cancel as th grows.  `out` receives H2.
-        th = self.theta
-        n = np.multiply(np.exp(-th * vc), np.expm1(-th * uc), out=_out(out, uc, vc))
-        denom = n + np.exp(-th * uc) * np.expm1(-th * (1.0 - uc))
-        return np.divide(n, denom, out=n), denom
-
-    def _clayton_h2(self, la, lv, out=None):
-        # exp(-(1 + 1/th) la - (th + 1) log v)
-        th = self.theta
-        out = np.multiply(la, -(1.0 + 1.0 / th), out=_out(out, la))
-        out -= (th + 1.0) * lv
-        return np.exp(out, out=out)
-
-    def _gumbel_h2(self, lt, s, lly, lv, out=None):
-        # exp(-s + (1/th - 1) lt + (th - 1) log(-log v) - log v)
-        th = self.theta
-        out = np.multiply(lt, 1.0 / th - 1.0, out=_out(out, lt))
-        out -= s
-        out += (th - 1.0) * lly
-        out -= lv
-        return np.exp(out, out=out)
 
     def h2(self, u, v, out=None):
         """H2(u, v) = dH/dv in [0, 1]: the survival of the first coordinate
@@ -321,19 +421,12 @@ class ArchimedeanCopula:
         temporaries.
         """
         uc, vc = _clamp_unit(u), _clamp_unit(v)
-        th = self.theta
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.family == "clayton":
-                la = self._clayton_log_a(uc, vc, out)
-                out = self._clayton_h2(la, np.log(vc), out=la)
-            elif self.family == "gumbel":
-                lt = self._gumbel_log_t(uc, vc, out)
-                s = np.divide(lt, th, out=np.empty_like(lt))
-                np.exp(s, out=s)
-                lv = np.log(vc)
-                out = self._gumbel_h2(lt, s, np.log(-lv), lv, out=lt)
-            else:
-                out, _ = self._frank_h2(uc, vc, out)
+        fam, th = self.family, self.theta
+        with np.errstate(**_ERRSTATE):
+            out = _h2_cells(
+                fam, th, _u_factors(fam, th, uc), _v_factors(fam, th, vc, "h2"),
+                _out(out, uc, vc),
+            )
         out.clip(0.0, 1.0, out=out)
         return out if out.ndim else float(out)
 
@@ -380,31 +473,30 @@ class ArchimedeanCopula:
         caller that reads H2 alone calls `h2`; H1(u, v) is h2(v, u).
         """
         uc, vc = _clamp_unit(u), _clamp_unit(v)
-        th = self.theta
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.family == "clayton":
-                la = self._clayton_log_a(uc, vc)
-                lu, lv = np.log(uc), np.log(vc)
-                h2 = self._clayton_h2(la, lv)
+        fam, th = self.family, self.theta
+        with np.errstate(**_ERRSTATE):
+            uf, vf = _u_factors(fam, th, uc), _v_factors(fam, th, vc, "h2")
+            if fam == "clayton":
+                la = _clayton_log_a(uf[0], vf[0])
+                h2 = _clayton_h2(th, la, vf[1])
                 h12 = (1.0 + th) * np.exp(
-                    -(2.0 + 1.0 / th) * la - (th + 1.0) * (lu + lv)
+                    -(2.0 + 1.0 / th) * la - (th + 1.0) * (np.log(uc) + np.log(vc))
                 )
-            elif self.family == "gumbel":
-                lt = self._gumbel_log_t(uc, vc)
+            elif fam == "gumbel":
+                lt = _gumbel_log_t(uf[0], vf[0])
                 s = np.exp(lt / th)
                 beta = 1.0 / th
-                lu, lv = np.log(uc), np.log(vc)
-                llx, lly = np.log(-lu), np.log(-lv)
-                h2 = self._gumbel_h2(lt, s, lly, lv)
+                lu, lv = np.log(uc), vf[2]
+                h2 = _gumbel_h2(th, lt, s, vf[1], lv)
                 h12 = (
                     th
                     * (1.0 - beta + beta * s)
                     * np.exp(
-                        -s + (beta - 2.0) * lt + (th - 1.0) * (llx + lly) - lu - lv
+                        -s + (beta - 2.0) * lt + (th - 1.0) * (np.log(-lu) + np.log(-lv)) - lu - lv
                     )
                 )
             else:
-                h2, denom = self._frank_h2(uc, vc)
+                h2, denom = _frank_h2(uf[0], uf[1], vf[0])
                 h12 = -th * np.exp(-th * (uc + vc)) * np.expm1(-th) / denom**2
         h2 = np.clip(h2, 0.0, 1.0)
         h12 = np.maximum(h12, 0.0)

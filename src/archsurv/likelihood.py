@@ -391,28 +391,28 @@ def fit_joint_model(
     except Exception as exc:
         raise EstimationError("km", str(exc)) from exc
 
-    thetas, marginals = [], []
+    thetas, roots = [], []
     for k in range(data.k):
         root = {}
         try:
-            assoc = solve_theta(k, data, family, weight_spec, s_c=s_c, info=root)
+            thetas.append(solve_theta(k, data, family, weight_spec, s_c=s_c, info=root))
         except Exception as exc:
             raise EstimationError(f"theta[{k + 1}]", str(exc)) from exc
+        roots.append(root)
+    sweeps = {}
+    try:
+        marginals = self_consistent_marginal(
+            data, [a.theta_hat for a in thetas], s_d, family, info=sweeps
+        )
+    except Exception as exc:
+        raise EstimationError("marginals", str(exc)) from exc
+    for k, root in enumerate(roots):
         diagnostics[f"theta_{k + 1}_pairs"] = root["pairs"]
         diagnostics[f"theta_{k + 1}_evals"] = root["evals"]
         if root["boundary"]:
             diagnostics[f"theta_{k + 1}_boundary"] = True
-        info = {}
-        try:
-            marg = self_consistent_marginal(
-                k, data, assoc.theta_hat, s_d, family, info=info
-            )
-        except Exception as exc:
-            raise EstimationError(f"marginal[{k + 1}]", str(exc)) from exc
-        thetas.append(assoc)
-        marginals.append(marg)
-        diagnostics[f"marginal_{k + 1}_iterations"] = info.get("iterations")
-        diagnostics[f"marginal_{k + 1}_converged"] = info.get("converged")
+        diagnostics[f"marginal_{k + 1}_iterations"] = sweeps["iterations"][k]
+        diagnostics[f"marginal_{k + 1}_converged"] = sweeps["converged"][k]
 
     workspace = LikelihoodWorkspace(
         data, family, [a.theta_hat for a in thetas], marginals, s_d, mc_n, mc_seed

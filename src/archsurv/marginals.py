@@ -11,11 +11,25 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._roots import brentq
-from .copulas import ArchimedeanCopula, tau_from_theta, theta_from_tau
+from .copulas import (
+    _ERRSTATE,
+    _TEMPS,
+    ArchimedeanCopula,
+    _clamp_unit,
+    _h2_cells,
+    _h_cells,
+    _h_edges,
+    _h_u_factors,
+    _u_factors,
+    _v_factors,
+    tau_from_theta,
+    theta_from_tau,
+)
 from .data import SurvivalData
 from .errors import NoComparablePairs, NoRootError
 from .survival import StepSurvival, kaplan_meier
@@ -25,6 +39,11 @@ TAU_BRACKET = (0.001, 0.99)  # Kendall-tau bracket of the concordance root
 # (sup norm), or after SC_MAX_SWEEPS sweeps
 SC_TOL = 1e-6
 SC_MAX_SWEEPS = 200
+# onsets are swept together while their cells total at most SC_CELLS (the
+# budget of `predict.CHUNK_CELLS`), and a larger onset alone, in chunks of
+# whole columns within it
+SC_CELLS = 2**16
+_KINDS = ("h", "h2")  # censored alive (joint survival H), by death (H2)
 
 
 @dataclass(frozen=True)
@@ -251,89 +270,220 @@ def solve_theta(
     if info is not None:
         info.update(pairs=table.pairs, evals=int(evals), boundary=boundary)
     theta_hat = theta_from_tau(family, float(tau_hat))
-    return PairwiseAssociation(k, theta_hat, tau_from_theta(family, theta_hat), weight_spec)
+    if not boundary:  # the tau of the theta reported; at the bound, the bound
+        tau_hat = tau_from_theta(family, theta_hat)
+    return PairwiseAssociation(k, theta_hat, tau_hat, weight_spec)
 
 
-def _capped_ratio_sums(num, pos, mask):
-    """Row sums over `mask` of min(num[i, j] / num[pos[j], j], 1): each
-    column's conditional on the grid over its value at the subject's own
-    onset (grid row pos[j]), a column whose denominator is not positive
-    reading 0.  Overwrites `num`."""
-    den = num[pos, np.arange(pos.size)]
-    num /= np.maximum(den, 1e-300)
-    vanished = ~(den > 0)
-    if vanished.any():
-        num[:, vanished] = 0.0
-    np.minimum(num, 1.0, out=num)
-    num *= mask
-    return num.sum(axis=1)
+class _Onset:
+    """One onset's fixed-point problem at association `theta`: its grid
+    (the distinct onset times), the Kaplan-Meier curve that ignores
+    informativeness, which starts the iteration, the at-risk counts, and its
+    censored subjects of each kind ("h": censored with the subject alive,
+    "h2": censored by death) as the grid row of each one's onset time, its
+    terminal survival v and the factors of v that the kind's kernel reads,
+    in data order.  A censored subject enters only the grid rows at or after
+    its own: `cells` counts those entries."""
+
+    def __init__(self, data, k, s_d, theta, family):
+        t = data.t[:, k]
+        d = data.delta[:, k].astype(bool)
+        self.theta = theta
+        self.grid = np.unique(t)
+        self.start = np.asarray(kaplan_meier(t, d, t_max=data.t_max)(self.grid), dtype=float)
+        self.at_risk = (data.n - np.searchsorted(np.sort(t), self.grid, "right")).astype(float)
+        self.kinds = {}
+        for kind, died in zip(_KINDS, (0, 1)):
+            cens = ~d & (data.dtilde == died)
+            v = np.asarray(s_d.mid_value(data.y[cens]), dtype=float)
+            with np.errstate(**_ERRSTATE):
+                vf = _v_factors(family, theta, _clamp_unit(v), kind)
+            self.kinds[kind] = (np.searchsorted(self.grid, t[cens]), v, vf)
+        self.cells = sum(int((self.grid.size - c[0]).sum()) for c in self.kinds.values())
 
 
-def self_consistent_marginal(
-    k,
-    data,
-    theta_hat,
-    s_d,
-    family,
-    info=None,
-) -> StepSurvival:
-    """Marginal survival of the k-th onset by pseudo self-consistency.
+def _stacks(onsets):
+    """Onset indices in order, grouped while their cells total at most
+    SC_CELLS; an onset with more runs alone."""
+    stack, cells = [], 0
+    for k, onset in enumerate(onsets):
+        if stack and cells + onset.cells > SC_CELLS:
+            yield stack
+            stack, cells = [], 0
+        stack.append(k)
+        cells += onset.cells
+    yield stack
+
+
+class _StackCells:
+    """The cells that the censored subjects of a stack's active onsets
+    enter, laid out flat and column by column: every "h" column, then every
+    "h2" column, each kind in onset and then data order.  Onset i of the
+    stack owns the rows from i * width of the (stack x width) grid.
+
+    The columns are swept in chunks of at most SC_CELLS cells (a longer
+    column is a chunk of its own), so that a sweep's temporaries stay within
+    that budget.  A build lays out per cell the v factors that each onset
+    took once per fit, and a theta (a scalar when one onset is active)."""
+
+    def __init__(self, onsets, family, width, active):
+        self.family, self.n_rows = family, active.size * width
+        live = np.flatnonzero(active)
+        one = onsets[live[0]].theta if live.size == 1 else None
+        # one column per censored subject, kind by kind and onset by onset:
+        # the first row it enters and its cells; per kind its theta, v and
+        # v factors
+        row0, lens, kinds = [], [], []
+        for name in _KINDS:
+            cols = [(i, *onsets[i].kinds[name]) for i in live]
+            row0 += [i * width + pos for i, pos, _, _ in cols]
+            lens += [onsets[i].grid.size - pos for i, pos, _, _ in cols]
+            kinds.append((
+                name,
+                np.concatenate([np.full(pos.size, onsets[i].theta) for i, pos, _, _ in cols]),
+                np.concatenate([v for _, _, v, _ in cols]),
+                [np.concatenate(f) for f in zip(*(vf for *_, vf in cols))],
+            ))
+        row0, lens = np.concatenate(row0), np.concatenate(lens)
+        bounds = (0, kinds[0][1].size, lens.size)  # the columns of each kind
+        start = np.cumsum(lens) - lens
+        self.chunks, c0 = [], 0
+        while c0 < lens.size:
+            c1 = max(c0 + 1, int(np.searchsorted(start + lens, start[c0] + SC_CELLS, "right")))
+            first = start[c0:c1] - start[c0]  # each column's first cell in the chunk
+            # each column's rows, from its subject's own row down
+            rows = np.repeat(row0[c0:c1] - first, lens[c0:c1])
+            rows += np.arange(rows.size)
+            parts = []
+            for (name, theta, v, vf), lo, hi in zip(kinds, bounds, bounds[1:]):
+                a, b = max(c0, lo), min(c1, hi)
+                if a < b:
+                    own = slice(a - lo, b - lo)
+                    per_cell = partial(np.repeat, repeats=lens[a:b])
+                    parts.append((
+                        name, slice(first[a - c0], first[b - 1 - c0] + lens[b - 1]),
+                        one if one is not None else per_cell(theta[own]),
+                        [per_cell(f[own]) for f in vf],
+                        per_cell(v[own]) if name == "h" else None,  # for `_h_edges`
+                    ))
+            # the bincount forming the row sums reads every row, then each cell's
+            self.chunks.append((np.concatenate([np.arange(self.n_rows), rows]), lens[c0:c1], first, parts))
+            c0 = c1
+        self.buf = np.empty(max((c[0].size for c in self.chunks), default=0))
+        self.tmp = []
+
+    def _scratch(self, count, size):
+        """`count` scratch arrays of `size` floats, kept from sweep to sweep:
+        a new temporary of this size in every sweep would be mapped afresh."""
+        for i in range(count):
+            if i == len(self.tmp):
+                self.tmp.append(np.empty(size))
+            elif self.tmp[i].size < size:
+                self.tmp[i] = np.empty(size)
+        return [a[:size] for a in self.tmp[:count]]
+
+    def row_sums(self, s, uf, carry):
+        """`carry` plus, row by row, the capped ratio of every cell in cell
+        order: one bincount per chunk, each taking the sums so far first.
+        `s` is the flat (stack x width) grid of curves and `uf` its u
+        factors, flat, by kind."""
+        for idx, lens, first, parts in self.chunks:
+            w = self.buf[: idx.size]
+            w[: self.n_rows] = carry
+            cells = w[self.n_rows:]
+            for kind, own, theta, vf, v in parts:
+                out, at = cells[own], idx[self.n_rows:][own]
+                # the u factors are gathered into `out` and then the kernel's
+                # scratch arrays, which may hold them (see `_h_cells`)
+                count = max(len(uf[kind]), 1 + _TEMPS[self.family])
+                bufs = [out] + self._scratch(count - 1, out.size)
+                gathered = [np.take(f, at, out=b, mode="clip") for f, b in zip(uf[kind], bufs)]
+                if kind == "h":
+                    _h_cells(self.family, theta, gathered, vf, out, bufs[1:])
+                    _h_edges(out, np.take(s, at, out=bufs[1], mode="clip"), v)
+                else:
+                    _h2_cells(self.family, theta, gathered, vf, out, bufs[1:])
+                    out.clip(0.0, 1.0, out=out)
+            # each column's conditional over its value at the subject's own
+            # row, capped at 1; a column whose denominator is not positive reads 0
+            den = cells[first]
+            cells /= np.repeat(np.maximum(den, 1e-300), lens)
+            vanished = ~(den > 0)
+            if vanished.any():
+                cells[np.repeat(vanished, lens)] = 0.0
+            np.minimum(cells, 1.0, out=cells)
+            carry = np.bincount(idx, w, minlength=self.n_rows)
+        return carry
+
+
+def _sweep_stack(onsets, family, n):
+    """The fixed-point map of a stack of onsets; each onset is frozen, and
+    its cells dropped, once its sup step falls below SC_TOL.  Returns the
+    (stack x width) curves and, per onset, its sweeps and whether it
+    converged."""
+    width = max(o.grid.size for o in onsets)
+    s, at_risk = np.zeros((2, len(onsets), width))
+    for i, o in enumerate(onsets):
+        s[i, : o.grid.size] = o.start
+        at_risk[i, : o.grid.size] = o.at_risk
+    theta = np.array([[o.theta] for o in onsets])  # per grid row
+    has_h = any(o.kinds["h"][0].size for o in onsets)
+    active = np.ones(len(onsets), dtype=bool)
+    sweeps = np.full(len(onsets), SC_MAX_SWEEPS)
+    with np.errstate(**_ERRSTATE):
+        cells = _StackCells(onsets, family, width, active)
+        for it in range(1, SC_MAX_SWEEPS + 1):
+            uf = {"h2": _u_factors(family, theta, _clamp_unit(s))}
+            if has_h:
+                uf["h"] = _h_u_factors(family, theta, uf["h2"])
+            uf = {kind: [f.ravel() for f in factors] for kind, factors in uf.items()}
+            new = cells.row_sums(s.ravel(), uf, at_risk.ravel()).reshape(s.shape) / n
+            new = np.minimum.accumulate(np.clip(new, 0.0, 1.0), axis=1)
+            step = np.max(np.abs(new - s), axis=1)
+            s[active] = new[active]
+            done = active & (step < SC_TOL)
+            if done.any():
+                sweeps[done] = it
+                active &= ~done
+                if not active.any():
+                    break
+                cells = _StackCells(onsets, family, width, active)
+    return s, sweeps, ~active
+
+
+def self_consistent_marginal(data, thetas, s_d, family, info=None) -> list:
+    """Marginal survival of every onset by pseudo self-consistency, onset k
+    at association thetas[k]; returns one curve per onset.
 
     The fixed-point map has three parts: the at-risk average, a joint-survival
     ratio for onsets censored by independent censoring, and a conditional
     (given death) ratio for onsets censored by the terminal event.  Iteration
     starts from the Kaplan-Meier curve that ignores informativeness and each
-    sweep is projected onto monotone [0, 1].
+    sweep is projected onto monotone [0, 1]; an onset stops once a sweep
+    moves it by less than SC_TOL (sup norm), or after SC_MAX_SWEEPS sweeps.
+    A censored subject's ratio enters only the grid rows at or after its own
+    onset time, and each row adds the at-risk count and then those ratios in
+    subject order: the "h" kind, then the "h2" kind, each in data order.
+    Onsets are swept together in stacks of at most SC_CELLS such entries.
+    If `info` is a dict it receives per onset the sweeps (`iterations`) and
+    whether it converged (`converged`).
     """
-    cop = ArchimedeanCopula(family, theta_hat)
-    t = data.t[:, k]
-    d = data.delta[:, k].astype(bool)
-    n = data.n
-
-    grid = np.unique(t)
-    s = np.asarray(kaplan_meier(t, d, t_max=data.t_max)(grid), dtype=float)
-
-    at_risk = (n - np.searchsorted(np.sort(t), grid, "right")).astype(float)
-
-    cens = ~d
-    both_cens = cens & (data.dtilde == 0)
-    death_cens = cens & (data.dtilde == 1)
-    vb = np.asarray(s_d.mid_value(data.y[both_cens]), dtype=float)
-    vdth = np.asarray(s_d.mid_value(data.y[death_cens]), dtype=float)
-    tb = t[both_cens]
-    tdth = t[death_cens]
-    pos_b = np.searchsorted(grid, tb)
-    pos_d = np.searchsorted(grid, tdth)
-    mask_b = tb[None, :] <= grid[:, None]
-    mask_d = tdth[None, :] <= grid[:, None]
-    # each sweep writes its (grid x subject) conditionals into these
-    num_b = np.empty(mask_b.shape)
-    num_d = np.empty(mask_d.shape)
-
-    converged = False
-    it = 0
-    for it in range(1, SC_MAX_SWEEPS + 1):
-        u_grid = s[:, None]
-        new = at_risk.copy()
-        if tb.size:
-            cop._h_clamped(u_grid, vb[None, :], out=num_b)
-            new += _capped_ratio_sums(num_b, pos_b, mask_b)
-        if tdth.size:
-            cop.h2(u_grid, vdth[None, :], out=num_d)
-            new += _capped_ratio_sums(num_d, pos_d, mask_d)
-        new /= n
-        new = np.minimum.accumulate(np.clip(new, 0.0, 1.0))
-        delta_sup = float(np.max(np.abs(new - s)))
-        s = new
-        if delta_sup < SC_TOL:
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            f"self-consistency for onset {k + 1} stopped after {SC_MAX_SWEEPS} sweeps",
-            RuntimeWarning,
-        )
+    if len(thetas) != data.k:
+        raise ValueError(f"need one theta per onset ({data.k}), got {len(thetas)}")
+    onsets = [_Onset(data, k, s_d, thetas[k], family) for k in range(data.k)]
+    curves, sweeps, converged = [None] * data.k, [0] * data.k, [False] * data.k
+    for stack in _stacks(onsets):
+        s, its, conv = _sweep_stack([onsets[k] for k in stack], family, data.n)
+        for i, k in enumerate(stack):
+            grid = onsets[k].grid
+            curves[k] = StepSurvival(grid, s[i, : grid.size].copy(), t_max=data.t_max)
+            sweeps[k], converged[k] = int(its[i]), bool(conv[i])
+    for k in range(data.k):
+        if not converged[k]:
+            warnings.warn(
+                f"self-consistency for onset {k + 1} stopped after {SC_MAX_SWEEPS} sweeps",
+                RuntimeWarning,
+            )
     if info is not None:
-        info["iterations"] = it
-        info["converged"] = converged
-    return StepSurvival(grid, s, t_max=data.t_max)
+        info["iterations"], info["converged"] = sweeps, converged
+    return curves

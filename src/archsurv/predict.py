@@ -282,6 +282,10 @@ def _tail_rows(model, density, start, times, landmarks):
             errors[i] = NotIdentified(f"no terminal mass beyond landmark {landmarks[i]:.6g}")
         elif not total > 0:
             errors[i] = NotIdentified("denominator integral vanished")
+        elif total == np.inf:
+            # the weights are non-negative, so a finite denominator bounds
+            # them all and the row is finite too: no NaN curve is returned
+            errors[i] = NotIdentified("history density not finite past the landmark")
     return np.clip(rows, 0.0, 1.0, out=rows), errors
 
 

@@ -205,7 +205,10 @@ def mp_log_abs_psi_deriv(family, theta, t, d):
 
 def reference_self_consistent(k, data, theta_hat, s_d, family):
     """The self-consistency fixed point with every sweep's arrays built
-    afresh; returns the marginal and the number of sweeps."""
+    afresh; returns the marginal and the number of sweeps.  Each grid row
+    adds, in subject order, the masked entries of its row to the at-risk
+    count: the onsets censored with the subject alive, then those censored
+    by death, each in data order."""
     cop = ArchimedeanCopula(family, theta_hat)
     t = data.t[:, k]
     d = data.delta[:, k].astype(bool)
@@ -230,17 +233,21 @@ def reference_self_consistent(k, data, theta_hat, s_d, family):
     it = 0
     for it in range(1, SC_MAX_SWEEPS + 1):
         u_grid = np.clip(s, 1e-12, 1.0)[:, None]
-        new = at_risk.copy()
+        terms = []
         if tb.size:
             num = reference_h(cop, u_grid, vb[None, :])
             den = reference_h(cop, np.clip(s[pos_b], 1e-12, 1.0), vb)
             ratio = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-            new += (np.minimum(ratio, 1.0) * mask_b).sum(axis=1)
+            terms.append((np.minimum(ratio, 1.0), mask_b))
         if tdth.size:
             _, num, _ = reference_partials(cop, u_grid, vdth[None, :])
             _, den, _ = reference_partials(cop, np.clip(s[pos_d], 1e-12, 1.0), vdth)
             ratio = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-            new += (np.minimum(ratio, 1.0) * mask_d).sum(axis=1)
+            terms.append((np.minimum(ratio, 1.0), mask_d))
+        new = at_risk.copy()
+        for term, mask in terms:
+            for j in range(term.shape[1]):
+                new += np.where(mask[:, j], term[:, j], 0.0)
         new /= n
         new = np.minimum.accumulate(np.clip(new, 0.0, 1.0))
         delta_sup = float(np.max(np.abs(new - s)))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from archsurv import marginals
+from archsurv import likelihood, marginals
 
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
 from archsurv.data import SurvivalData
@@ -42,6 +42,21 @@ from tests._oracles import (
 
 def _sim(config):
     return simulate_dataset(config)
+
+
+def _one_onset(data, k):
+    """The records with onset k alone (K = 1)."""
+    return SurvivalData(data.t[:, [k]], data.delta[:, [k]], data.y, data.dtilde)
+
+
+def _marginal(k, data, theta, s_d, family, info=None):
+    """Onset k's self-consistent marginal, swept alone; `info` receives its
+    sweeps and whether it converged."""
+    one = {}
+    curve, = self_consistent_marginal(_one_onset(data, k), [theta], s_d, family, info=one)
+    if info is not None:
+        info.update(iterations=one["iterations"][0], converged=one["converged"][0])
+    return curve
 
 
 def concordance_score(theta, k, data, family):
@@ -316,11 +331,16 @@ def test_messages_name_onsets_from_one(monkeypatch):
     with pytest.raises(EstimationError, match=r"^\[theta\[2\]\] onset 2: no comparable"):
         fit_joint_model(no_onset_2, "frank")
     monkeypatch.setattr(marginals, "SC_MAX_SWEEPS", 1)
-    with pytest.warns(RuntimeWarning, match="self-consistency for onset 1 stopped after 1 sweeps"):
-        self_consistent_marginal(0, data, 5.0, terminal_km(data), "frank")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        self_consistent_marginal(data, [5.0, 5.0], terminal_km(data), "frank")
+    assert [str(w.message) for w in caught] == [
+        f"self-consistency for onset {k} stopped after 1 sweeps" for k in (1, 2)
+    ]
 
 
-def test_solve_theta_below_independence_returns_lower_end():
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_solve_theta_below_independence_returns_lower_end(family):
     # onsets fall as death times rise: every pair is discordant, so U < 0
     # over the whole bracket and the association sits at its lower end
     rng = np.random.default_rng(3)
@@ -331,10 +351,12 @@ def test_solve_theta_below_independence_returns_lower_end():
     )
     info = {}
     with pytest.warns(UserWarning, match="onset 1: association at or below independence"):
-        est = solve_theta(0, data, "frank", info=info)
-    # exactly the bracket end: Frank's tau(theta) cancelled here and gave
-    # 0.0010000000002364784
+        est = solve_theta(0, data, family, info=info)
+    # exactly the bracket end, not the tau of its theta: that read
+    # 0.0010000000002364784 for Frank before its series, and reads
+    # 0.001000000000000112 for Gumbel and 0.0009999999999999998 for Clayton
     assert est.tau_hat == TAU_BRACKET[0]
+    assert est.theta_hat == theta_from_tau(family, TAU_BRACKET[0])
     assert info["boundary"] and info["evals"] == 0
 
 
@@ -481,7 +503,7 @@ def test_self_consistency_reduces_to_km_at_independence():
     )
     data = _sim(cfg).train
     s_d = terminal_km(data)
-    est = self_consistent_marginal(0, data, 1.0, s_d, "gumbel")
+    est = _marginal(0, data, 1.0, s_d, "gumbel")
     km = kaplan_meier(data.t[:, 0], data.delta[:, 0], t_max=data.t_max)
     grid = est.times
     assert np.max(np.abs(np.asarray(est(grid)) - np.asarray(km(grid)))) < 1e-6
@@ -496,7 +518,7 @@ def test_self_consistency_no_informative_censoring():
     delta = (onset <= c).astype(int)
     data = SurvivalData(t[:, None], delta[:, None], c, np.zeros(150, dtype=int))
     s_d = terminal_km(data)  # constant 1
-    est = self_consistent_marginal(0, data, 2.0, s_d, "frank")
+    est = _marginal(0, data, 2.0, s_d, "frank")
     km = kaplan_meier(t, delta, t_max=data.t_max)
     assert np.max(np.abs(np.asarray(est(est.times)) - np.asarray(km(est.times)))) < 1e-9
 
@@ -506,12 +528,12 @@ def test_self_consistency_monotone_bounded_and_order_invariant():
     data = _sim(cfg).train
     s_d = terminal_km(data)
     theta = theta_from_tau("frank", 0.5)
-    est = self_consistent_marginal(0, data, theta, s_d, "frank")
+    est = _marginal(0, data, theta, s_d, "frank")
     assert np.all(np.diff(est.values) <= 1e-12)
     assert est.values.min() >= 0 and est.values.max() <= 1
     assert est(0.0) == 1.0
     perm = np.random.default_rng(0).permutation(data.n)
-    est2 = self_consistent_marginal(0, data.subset(perm), theta, s_d, "frank")
+    est2 = _marginal(0, data.subset(perm), theta, s_d, "frank")
     assert np.max(np.abs(est.values - est2.values)) < 1e-9
 
 
@@ -521,7 +543,7 @@ def test_self_consistency_tracks_true_marginal():
     data = _sim(cfg).train
     s_d = terminal_km(data)
     est_assoc = solve_theta(0, data, "frank")
-    est = self_consistent_marginal(0, data, est_assoc.theta_hat, s_d, "frank")
+    est = _marginal(0, data, est_assoc.theta_hat, s_d, "frank")
     grid = np.linspace(0.05, np.quantile(data.t[:, 0], 0.9), 40)
     sup = np.max(np.abs(np.asarray(est(grid)) - np.exp(-grid)))
     assert sup < 0.08
@@ -553,19 +575,20 @@ def _sweep_data(rng, n, censoring):
 def _assert_matches_oracle(data, theta, family):
     s_d = terminal_km(data)
     info = {}
-    got = self_consistent_marginal(0, data, theta, s_d, family, info=info)
+    got, = self_consistent_marginal(data, [theta], s_d, family, info=info)
     want, sweeps = reference_self_consistent(0, data, theta, s_d, family)
     assert np.array_equal(got.times, want.times)
     assert np.array_equal(got.values, want.values)
-    assert info["iterations"] == sweeps
+    assert info["iterations"] == [sweeps]
     return got
 
 
 @pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
 @pytest.mark.parametrize("censoring", ["both", "death", "mixed"])
 def test_self_consistency_equals_fresh_array_oracle(family, censoring):
-    # the sweeps write into per-onset buffers and read each denominator off
-    # the grid matrix; the oracle builds every array afresh
+    # the sweeps lay out only the cells each censored subject enters and read
+    # its denominator off its first cell; the oracle builds every (grid x
+    # subject) array afresh, and adds the same row entries in the same order
     seed = ("both", "death", "mixed").index(censoring)
     data = _sweep_data(np.random.default_rng(40 + seed), 120, censoring)
     got = _assert_matches_oracle(data, theta_from_tau(family, 0.5), family)
@@ -601,6 +624,128 @@ def test_self_consistency_zero_denominator_column_equals_oracle(family, theta):
         _assert_matches_oracle(data, theta, family)
 
 
+# ---------------------------------------------------------------------------
+# one sweep for a stack of onsets
+
+
+def _stack_draw(family, k=10, n=120, seed=8):
+    """A K-onset draw whose onset 4 is observed for every subject, so it has
+    no censored subject (no cells); and the thetas of its onsets."""
+    taus = np.linspace(0.2, 0.7, k)
+    data = _sim(SimConfig(
+        k=k, family=family, tau_alpha=0.3, tau_thetas=tuple(taus), n_train=n,
+        n_test=0, seed=seed,
+    )).train
+    t, delta = data.t.copy(), data.delta.copy()
+    t[:, 3] = data.y * np.random.default_rng(seed).uniform(0.1, 0.9, n)
+    delta[:, 3] = 1
+    return SurvivalData(t, delta, data.y, data.dtilde), [theta_from_tau(family, x) for x in taus]
+
+
+def _assert_each_onset_as_alone(data, thetas, family):
+    """Every onset's curve, sweeps and convergence from one call equal those
+    of the onset swept alone; returns the call's `info`."""
+    s_d = terminal_km(data)
+    info = {}
+    curves = self_consistent_marginal(data, thetas, s_d, family, info=info)
+    for k, curve in enumerate(curves):
+        one = {}
+        alone = _marginal(k, data, thetas[k], s_d, family, info=one)
+        assert np.array_equal(curve.times, alone.times)
+        assert np.array_equal(curve.values, alone.values)
+        assert (info["iterations"][k], info["converged"][k]) == (one["iterations"], one["converged"])
+    return info
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_stacked_sweep_equals_each_onset_alone(family, monkeypatch):
+    data, thetas = _stack_draw(family)
+    s_d = terminal_km(data)
+    onsets = [marginals._Onset(data, k, s_d, thetas[k], family) for k in range(data.k)]
+    assert list(marginals._stacks(onsets)) == [list(range(10))]  # one stack
+    assert onsets[3].cells == 0 and all(o.cells for o in onsets[:3] + onsets[4:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # every onset converges
+        info = _assert_each_onset_as_alone(data, thetas, family)
+    assert info["converged"] == [True] * 10
+    assert info["iterations"][3] == 1  # the Kaplan-Meier curve is its fixed point
+    assert len(set(info["iterations"])) > 2  # frozen at their own counts
+
+    # a frozen onset's cells drop out: the cells are laid out again, for the
+    # onsets still moving, each time one stops
+    laid_out = []
+
+    class Spy(marginals._StackCells):
+        def __init__(self, onsets, family, width, active):
+            laid_out.append(set(np.flatnonzero(active)))
+            super().__init__(onsets, family, width, active)
+
+    monkeypatch.setattr(marginals, "_StackCells", Spy)
+    self_consistent_marginal(data, thetas, terminal_km(data), family)
+    stops = sorted(set(info["iterations"]))[:-1]
+    assert laid_out == [
+        {k for k in range(10) if info["iterations"][k] > it} for it in [0] + stops
+    ]
+
+
+def test_stacked_sweep_freezes_each_onset_with_its_own_warning(monkeypatch):
+    data, thetas = _stack_draw("frank", k=5)
+    monkeypatch.setattr(marginals, "SC_MAX_SWEEPS", 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        info = _assert_each_onset_as_alone(data, thetas, "frank")
+    stopped = [k + 1 for k in range(5) if k != 3]
+    assert info["iterations"] == [4, 4, 4, 1, 4]
+    assert info["converged"] == [False, False, False, True, False]
+    # the stacked call warns once per onset that stopped, then the alone calls
+    messages = [str(w.message) for w in caught]
+    assert messages[:4] == [
+        f"self-consistency for onset {k} stopped after 4 sweeps" for k in stopped
+    ]
+    assert len(messages) == 8
+
+
+@pytest.mark.parametrize("budget", [10, 1000])
+def test_cell_budget_splits_stacks_and_chunks(monkeypatch, budget):
+    # at 1000 cells the ten onsets run as several stacks, most of them one
+    # onset in several chunks; at 10 each column is a chunk of its own
+    data, thetas = _stack_draw("gumbel")
+    s_d = terminal_km(data)
+    want = {}
+    curves = self_consistent_marginal(data, thetas, s_d, "gumbel", info=want)
+    monkeypatch.setattr(marginals, "SC_CELLS", budget)
+    onsets = [marginals._Onset(data, k, s_d, thetas[k], "gumbel") for k in range(data.k)]
+    stacks = list(marginals._stacks(onsets))
+    assert len(stacks) > 2 and sorted(sum(stacks, [])) == list(range(10))
+    for stack in stacks:
+        assert len(stack) == 1 or sum(onsets[k].cells for k in stack) <= budget
+    cells = marginals._StackCells([onsets[0]], "gumbel", onsets[0].grid.size, np.ones(1, bool))
+    assert len(cells.chunks) > 1
+    got = {}
+    for a, b in zip(curves, self_consistent_marginal(data, thetas, s_d, "gumbel", info=got)):
+        assert np.array_equal(a.values, b.values)
+    assert got == want
+
+
+def test_fit_takes_every_onset_from_one_sweep_call(monkeypatch):
+    data, _ = _stack_draw("clayton", k=4)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return self_consistent_marginal(*args, **kwargs)
+
+    monkeypatch.setattr(likelihood, "self_consistent_marginal", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_joint_model(data, "clayton")
+    assert calls == [[a.theta_hat for a in fit.thetas]]
+    info = {}
+    self_consistent_marginal(data, calls[0], terminal_km(data), "clayton", info=info)
+    assert [fit.diagnostics[f"marginal_{k}_iterations"] for k in range(1, 5)] == info["iterations"]
+    assert [fit.diagnostics[f"marginal_{k}_converged"] for k in range(1, 5)] == info["converged"]
+
+
 @pytest.mark.slow
 def test_self_consistency_ex1_replicated_sup_norm():
     hits = 0
@@ -610,7 +755,7 @@ def test_self_consistency_ex1_replicated_sup_norm():
         data = _sim(cfg).train
         s_d = terminal_km(data)
         est_assoc = solve_theta(0, data, "frank")
-        est = self_consistent_marginal(0, data, est_assoc.theta_hat, s_d, "frank")
+        est = _marginal(0, data, est_assoc.theta_hat, s_d, "frank")
         grid = np.linspace(0.05, np.quantile(data.t[:, 0], 0.9), 40)
         if np.max(np.abs(np.asarray(est(grid)) - np.exp(-grid))) < 0.08:
             hits += 1

@@ -362,6 +362,32 @@ def test_dp_vanishing_denominator_frame_holds_no_arrays():
     assert held == []
 
 
+def test_dp_curve_that_is_not_finite_is_not_identified():
+    # held-out subject 19 has onsets at 0.0040 and 0.0027, where both fitted
+    # Gumbel marginals are still 1: its density overflows to +inf past the
+    # landmark, and DP returned 130 NaN of 235 points, which evaluation then
+    # scored as a NaN DP MSPE with no subject skipped
+    from archsurv.likelihood import fit_joint_model
+    from archsurv.metrics import MetricConfig, evaluate_model
+    from archsurv.simulate import simulate_dataset
+
+    res = simulate_dataset(SimConfig(
+        k=2, family="gumbel", tau_alpha=0.5, tau_thetas=(0.3, 0.6), n_train=40,
+        n_test=30, seed=1,
+    ))
+    test = res.test
+    query = PredictionQuery(tuple((k, float(test.t[19, k])) for k in range(2)))
+    assert test.delta[19].all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = fit_joint_model(res.train, "gumbel")
+        with pytest.raises(NotIdentified, match="not finite"):
+            predict_curves(query, model, ("DP",))
+        reports = evaluate_model(model, test, MetricConfig(), d_true=res.latent_test.d)
+    assert reports["DP"].n_skipped == 1
+    assert np.isfinite(reports["DP"].mspe) and np.isfinite(reports["DP"].ibs)
+
+
 # ---------------------------------------------------------------------------
 # one prediction path for every method
 
