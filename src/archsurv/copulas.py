@@ -236,6 +236,35 @@ def _gumbel_h2(th, lt, s, lly1, lv, out=None):
     return np.exp(out, out=out)
 
 
+def _partials_cells(family, th, uc, vc):
+    """(H2, H12) at clamped arguments, H2 clipped to [0, 1] and H12 >= 0:
+    `ArchimedeanCopula.partials` after its clamp.  As in `_h_cells`, theta
+    is a scalar or an array that broadcasts with the arguments: one theta
+    per entry, or per row of an (onsets x cells) grid."""
+    uf, vf = _u_factors(family, th, uc), _v_factors(family, th, vc, "h2")
+    if family == "clayton":
+        la = _clayton_log_a(uf[0], vf[0])
+        h2 = _clayton_h2(th, la, vf[1])
+        h12 = (1.0 + th) * np.exp(
+            -(2.0 + 1.0 / th) * la - (th + 1.0) * (np.log(uc) + np.log(vc))
+        )
+    elif family == "gumbel":
+        lt = _gumbel_log_t(uf[0], vf[0])
+        s = np.exp(lt / th)
+        beta = 1.0 / th
+        lu, lv = np.log(uc), vf[2]
+        h2 = _gumbel_h2(th, lt, s, vf[1], lv)
+        h12 = (
+            th
+            * (1.0 - beta + beta * s)
+            * np.exp(-s + (beta - 2.0) * lt + (th - 1.0) * (np.log(-lu) + np.log(-lv)) - lu - lv)
+        )
+    else:
+        h2, denom = _frank_h2(uf[0], uf[1], vf[0])
+        h12 = -th * np.exp(-th * (uc + vc)) * np.expm1(-th) / denom**2
+    return h2.clip(0.0, 1.0), np.maximum(h12, 0.0)
+
+
 @lru_cache(maxsize=64)
 def _eulerian_row(n: int) -> tuple:
     """Eulerian numbers A(n, 0..n-1), the coefficients of the Eulerian
@@ -263,6 +292,86 @@ def _gumbel_deriv_logcoef(d: int, theta: float) -> tuple:
     return tuple(ks / theta - d), tuple(np.log(np.abs(coef[ks])))
 
 
+# -- generator kernels ---------------------------------------------------------
+#
+# The generator, its derivative and log|psi^(d)| of one family, without the
+# argument checks of the `ArchimedeanCopula` methods that call them: callers
+# whose arguments are valid by construction (the likelihood's cells) call
+# them directly.  theta is a scalar and the arguments are float arrays.  As
+# the cell kernels above, they are called under `np.errstate`, with at least
+# the floating-point errors of their methods ignored.
+
+
+def _phi_cells(family, th, u):
+    """Generator phi at u in (0, 1] (`ArchimedeanCopula.phi`): u is clamped
+    as every copula argument is, and phi(1) is exactly 0."""
+    exact_one = u == 1.0
+    uc = _clamp_unit(u)
+    if family == "clayton":
+        out = np.expm1(-th * np.log(uc)) / th
+    elif family == "gumbel":
+        out = (-np.log(uc)) ** th
+    else:
+        # phi = -log q, q = expm1(-th u) / expm1(-th): taken directly while
+        # q < 1/2 (exact as u -> 0), and as -log1p(delta), delta = q - 1,
+        # above it (no cancellation as u -> 1)
+        tu, c = -th * uc, np.expm1(-th)
+        q = np.expm1(tu) / c
+        delta = -np.exp(tu) * np.expm1(-th * (1.0 - uc)) / c
+        out = np.where(q < 0.5, -np.log(q), -np.log1p(np.maximum(delta, -1.0)))
+    return np.where(exact_one, 0.0, out)
+
+
+def _phi_prime_cells(family, th, u):
+    """phi'(u) < 0 at clamped u (`ArchimedeanCopula.phi_prime`)."""
+    uc = _clamp_unit(u)
+    if family == "clayton":
+        return -np.exp(-(th + 1.0) * np.log(uc))
+    if family == "gumbel":
+        return -th * (-np.log(uc)) ** (th - 1.0) / uc
+    return -th / np.expm1(th * uc)
+
+
+def _log_abs_psi_deriv_cells(family, th, t, d):
+    """log|psi^(d)(t)| at t >= 0 for an integer order d >= 0
+    (`ArchimedeanCopula.log_abs_psi_deriv`).
+
+    Clayton takes the product formula, Gumbel the cancellation-free
+    coefficient sum through logsumexp (exact at t = 0: psi(0) = 1, and
+    |psi^(d)(0)| = E[V^d] = inf for d >= 1 and th > 1), and Frank, with
+    w = (1 - e^-th) e^-t,
+    |psi^(d)| = w A_{d-1}(w) / (th (1 - w)^d) for d >= 1 (A_n the Eulerian
+    polynomial, with positive coefficients) and psi = -log(1 - w) / th.
+    Frank needs th > 0: below it psi is not completely monotone.
+    """
+    if family == "clayton":
+        # sum_j log1p(j th) - (d + 1/th) log1p(th t): an exact sum and a
+        # split product, so that the two large terms cancel cleanly
+        lt = np.log1p(th * t)
+        out = math.fsum(math.log1p(j * th) for j in range(d)) - d * lt - lt / th
+    elif family == "gumbel":
+        powers, logcoef = _gumbel_deriv_logcoef(d, th)
+        expo = np.log(t)[..., None] * powers + logcoef
+        m = expo.max(axis=-1)
+        out = m - t ** (1.0 / th)
+        out += np.log(np.exp(expo - m[..., None]).sum(axis=-1))
+        out = np.where(t == 0, 0.0 if d == 0 or th == 1 else np.inf, out)
+    elif th > 0:
+        lw = math.log(-math.expm1(-th)) - t
+        w = np.exp(lw)
+        # log(1 - w), with 1 - w = -expm1(-t) + e^(-t - th) as in psi
+        l1mw = np.log(-np.expm1(-t) + np.exp(-t - th))
+        if d == 0:  # log(-log(1 - w)); -log(1 - w) rounds to w below 1e-16
+            out = np.where(w < 0.5, -np.log1p(-w), -l1mw)
+            out = np.where(w < 1e-16, lw, np.log(out))
+        else:  # (Eulerian rows are palindromes, so either order suits polyval)
+            out = lw + np.log(np.polyval(_eulerian_row(d - 1), w)) - d * l1mw
+        out -= math.log(th)
+    else:
+        raise RangeError("frank psi requires theta > 0")
+    return np.where(np.isposinf(t), -np.inf, out)
+
+
 @dataclass(frozen=True)
 class ArchimedeanCopula:
     """A one-parameter Archimedean copula (family tag + association theta)."""
@@ -280,41 +389,14 @@ class ArchimedeanCopula:
         u_arr = _as_array(u)
         if np.any(u_arr <= 0) or np.any(u_arr > 1):
             raise DomainError("phi requires u in (0, 1]")
-        exact_one = u_arr == 1.0
-        uc = _clamp_unit(u_arr)
-        th = self.theta
         with np.errstate(over="ignore", divide="ignore"):
-            if self.family == "clayton":
-                out = np.expm1(-th * np.log(uc)) / th
-            elif self.family == "gumbel":
-                out = (-np.log(uc)) ** th
-            else:
-                # phi = -log q, q = expm1(-th u) / expm1(-th): taken directly
-                # while q < 1/2 (exact as u -> 0), and as -log1p(delta),
-                # delta = q - 1, above it (no cancellation as u -> 1)
-                q = np.expm1(-th * uc) / np.expm1(-th)
-                delta = (
-                    -np.exp(-th * uc)
-                    * np.expm1(-th * (1.0 - uc))
-                    / np.expm1(-th)
-                )
-                out = np.where(
-                    q < 0.5, -np.log(q), -np.log1p(np.maximum(delta, -1.0))
-                )
-        out = np.where(exact_one, 0.0, out)
+            out = _phi_cells(self.family, self.theta, u_arr)
         return out if out.ndim else float(out)
 
     def phi_prime(self, u):
         """First derivative of the generator (strictly negative)."""
-        uc = _clamp_unit(u)
-        th = self.theta
         with np.errstate(over="ignore"):
-            if self.family == "clayton":
-                out = -np.exp(-(th + 1.0) * np.log(uc))
-            elif self.family == "gumbel":
-                out = -th * (-np.log(uc)) ** (th - 1.0) / uc
-            else:
-                out = -th / np.expm1(th * uc)
+            out = _phi_prime_cells(self.family, self.theta, u)
         return out if out.ndim else float(out)
 
     def cross_ratio(self, s):
@@ -340,49 +422,14 @@ class ArchimedeanCopula:
 
     def log_abs_psi_deriv(self, t, d: int):
         """log|psi^(d)(t)| for any order d >= 0 (log psi at d = 0, -inf at
-        t = +inf); psi^(d) has sign (-1)^d.
-
-        Clayton takes the product formula, Gumbel the cancellation-free
-        coefficient sum through logsumexp (exact at t = 0: psi(0) = 1, and
-        |psi^(d)(0)| = E[V^d] = inf for d >= 1 and th > 1), and Frank, with
-        w = (1 - e^-th) e^-t,
-        |psi^(d)| = w A_{d-1}(w) / (th (1 - w)^d) for d >= 1 (A_n the Eulerian
-        polynomial, with positive coefficients) and psi = -log(1 - w) / th.
-        Frank needs th > 0: below it psi is not completely monotone.
-        """
+        t = +inf); psi^(d) has sign (-1)^d.  See `_log_abs_psi_deriv_cells`."""
         if d < 0 or int(d) != d:
             raise DomainError("derivative order must be a non-negative integer")
         t_arr = _as_array(t)
         if np.any(t_arr < 0):
             raise DomainError("psi requires t >= 0")
-        d, th = int(d), self.theta
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if self.family == "clayton":
-                # sum_j log1p(j th) - (d + 1/th) log1p(th t): an exact sum and a
-                # split product, so that the two large terms cancel cleanly
-                lt = np.log1p(th * t_arr)
-                out = math.fsum(math.log1p(j * th) for j in range(d)) - d * lt - lt / th
-            elif self.family == "gumbel":
-                powers, logcoef = _gumbel_deriv_logcoef(d, th)
-                expo = np.log(t_arr)[..., None] * powers + logcoef
-                m = expo.max(axis=-1)
-                out = m - t_arr ** (1.0 / th)
-                out += np.log(np.exp(expo - m[..., None]).sum(axis=-1))
-                out = np.where(t_arr == 0, 0.0 if d == 0 or th == 1 else np.inf, out)
-            elif th > 0:
-                lw = math.log(-math.expm1(-th)) - t_arr
-                w = np.exp(lw)
-                # log(1 - w), with 1 - w = -expm1(-t) + e^(-t - th) as in psi
-                l1mw = np.log(-np.expm1(-t_arr) + np.exp(-t_arr - th))
-                if d == 0:  # log(-log(1 - w)); -log(1 - w) rounds to w below 1e-16
-                    out = np.where(w < 0.5, -np.log1p(-w), -l1mw)
-                    out = np.where(w < 1e-16, lw, np.log(out))
-                else:  # (Eulerian rows are palindromes, so either order suits polyval)
-                    out = lw + np.log(np.polyval(_eulerian_row(d - 1), w)) - d * l1mw
-                out -= math.log(th)
-            else:
-                raise RangeError("frank psi requires theta > 0")
-        out = np.where(np.isposinf(t_arr), -np.inf, out)
+        with np.errstate(**_ERRSTATE):
+            out = _log_abs_psi_deriv_cells(self.family, self.theta, t_arr, int(d))
         return out if out.ndim else float(out)
 
     def psi_deriv(self, t, d: int):
@@ -473,33 +520,8 @@ class ArchimedeanCopula:
         caller that reads H2 alone calls `h2`; H1(u, v) is h2(v, u).
         """
         uc, vc = _clamp_unit(u), _clamp_unit(v)
-        fam, th = self.family, self.theta
         with np.errstate(**_ERRSTATE):
-            uf, vf = _u_factors(fam, th, uc), _v_factors(fam, th, vc, "h2")
-            if fam == "clayton":
-                la = _clayton_log_a(uf[0], vf[0])
-                h2 = _clayton_h2(th, la, vf[1])
-                h12 = (1.0 + th) * np.exp(
-                    -(2.0 + 1.0 / th) * la - (th + 1.0) * (np.log(uc) + np.log(vc))
-                )
-            elif fam == "gumbel":
-                lt = _gumbel_log_t(uf[0], vf[0])
-                s = np.exp(lt / th)
-                beta = 1.0 / th
-                lu, lv = np.log(uc), vf[2]
-                h2 = _gumbel_h2(th, lt, s, vf[1], lv)
-                h12 = (
-                    th
-                    * (1.0 - beta + beta * s)
-                    * np.exp(
-                        -s + (beta - 2.0) * lt + (th - 1.0) * (np.log(-lu) + np.log(-lv)) - lu - lv
-                    )
-                )
-            else:
-                h2, denom = _frank_h2(uf[0], uf[1], vf[0])
-                h12 = -th * np.exp(-th * (uc + vc)) * np.expm1(-th) / denom**2
-        h2 = np.clip(h2, 0.0, 1.0)
-        h12 = np.maximum(h12, 0.0)
+            h2, h12 = _partials_cells(self.family, self.theta, uc, vc)
         if h2.ndim == 0:
             return float(h2), float(h12)
         return h2, h12

@@ -28,7 +28,15 @@ from functools import cached_property, partial
 import numpy as np
 
 from ._roots import minimize_bounded
-from .copulas import U_FLOOR, ArchimedeanCopula, theta_from_tau
+from .copulas import (
+    U_FLOOR,
+    ArchimedeanCopula,
+    _log_abs_psi_deriv_cells,
+    _partials_cells,
+    _phi_cells,
+    _phi_prime_cells,
+    theta_from_tau,
+)
 from .data import SurvivalData
 from .errors import ConfigError, EstimationError
 from .marginals import (
@@ -54,12 +62,6 @@ def _safe_log(x):
         return np.log(x)
 
 
-def _phi_pos(cop, x):
-    """Generator applied to survival values clipped to [U_FLOOR, 1], the
-    floor `phi` clamps its arguments to."""
-    return np.asarray(cop.phi(np.clip(x, U_FLOOR, 1.0)))
-
-
 def _segment_logsumexp(x, starts, seg):
     """log sum exp(x) over the contiguous segments beginning at `starts`;
     `seg` maps each element to its segment."""
@@ -78,11 +80,14 @@ def terminal_atoms(s_d: StepSurvival):
     return times, masses, np.asarray(s_d.completed().mid_value(times))
 
 
-def onset_partials(marginal: StepSurvival, cop: ArchimedeanCopula, t_onset, v):
-    """(G, H12) at (S_k(t_onset), v): G = H2 is the survival of onset k past
-    t_onset given death where S_D = v, and H12 the copula density factor.
-    The density of an observed onset is H12 * (-S_k'(t_onset))."""
-    return cop.partials(np.asarray(marginal(t_onset)), np.asarray(v))
+def _sum_onsets(x):
+    """x.sum(axis=0) over the onset rows, added in onset order.  (numpy adds
+    8 or more terms pairwise, so a cell's sum would depend on the rows of
+    the onsets it does not observe.)"""
+    out = x[0].copy()
+    for row in x[1:]:
+        out += row
+    return out
 
 
 def cell_log_terms(cop_alpha: ArchimedeanCopula, g, obs, log_w, d_groups):
@@ -90,15 +95,20 @@ def cell_log_terms(cop_alpha: ArchimedeanCopula, g, obs, log_w, d_groups):
 
         log w + sum_obs log(-phi'(G_k)) + log|psi^(d)(sum_k phi(G_k))|,
 
-    with G (cells x onsets), the observed-onset mask `obs`, the log weight
-    of each cell and `d_groups`, (d, cell index) pairs grouping the cells by
-    their number d of observed onsets."""
+    with G (onsets x cells, in [0, 1]), the observed-onset mask `obs` of
+    the same shape, the log weight of each cell and `d_groups`, (d, cell
+    index) pairs grouping the cells by their number d of observed onsets.
+    The sums run in onset order, and an onset a cell does not observe adds
+    an exact 0 to them (phi(1) = 0).  The generator is applied to G clipped
+    to [U_FLOOR, 1], the floor `phi` clamps to; its arguments are valid by
+    construction, so the unchecked kernels serve."""
+    fam, th = cop_alpha.family, cop_alpha.theta
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        arg = _phi_pos(cop_alpha, g).sum(axis=1)
-        lp = _safe_log(-np.asarray(cop_alpha.phi_prime(g)))
-        x = log_w + np.where(obs, lp, 0.0).sum(axis=1)
+        arg = _sum_onsets(_phi_cells(fam, th, g.clip(U_FLOOR, 1.0)))
+        lp = np.log(-_phi_prime_cells(fam, th, g))
+        x = log_w + _sum_onsets(np.where(obs, lp, 0.0))
         for d, idx in d_groups:
-            x[idx] += cop_alpha.log_abs_psi_deriv(arg[idx], int(d))
+            x[idx] += _log_abs_psi_deriv_cells(fam, th, arg[idx], int(d))
     return x
 
 
@@ -158,16 +168,24 @@ class LikelihoodWorkspace:
         v[cd] = self.s_d.mid_value(data.y[row[cd]])
         mass[cd] = self.s_d.jump_mass(data.y[row[cd]])
 
-        # a censored onset's time is the censoring time, so its column is
-        # the onset survival at censoring
-        obs = data.delta[row] == 1
-        g = np.empty(obs.shape)
+        # a censored onset's time is the censoring time, so its row is the
+        # onset survival at censoring.  G = H2 and the density factor H12 at
+        # (S_k(t_k), v) come from one copula call over the (onsets x cells)
+        # entries, with one theta per onset
+        obs = data.delta.T[:, row] == 1
+        t = data.t.T[:, row]
+        uc = np.array([marg(t_k) for marg, t_k in zip(self.marginals, t)])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g, h12 = _partials_cells(
+                self.family,
+                np.array([[cop.theta] for cop in self.cops]),
+                uc.clip(U_FLOOR, 1.0 - U_FLOOR),
+                v.clip(U_FLOOR, 1.0 - U_FLOOR),
+            )
         log_w = _safe_log(mass)
-        for k, marg in enumerate(self.marginals):
-            t_k = data.t[row, k]
-            g[:, k], h12 = onset_partials(marg, self.cops[k], t_k, v)
-            neg_gp = h12 * -np.asarray(marg.slope(t_k))
-            log_w[obs[:, k]] += _safe_log(neg_gp[obs[:, k]])
+        for marg, t_k, obs_k, h12_k in zip(self.marginals, t, obs, h12):
+            neg_gp = h12_k * -np.asarray(marg.slope(t_k))
+            log_w[obs_k] += _safe_log(neg_gp[obs_k])
 
         keep = np.isfinite(log_w)
         kept = np.bincount(row[keep], minlength=n) > 0
@@ -183,11 +201,12 @@ class LikelihoodWorkspace:
             "row": rows,  # data row of each contributing record
             "start": np.searchsorted(row, rows),
         }
-        d = obs[keep].sum(axis=1)
+        obs = obs[:, keep]
+        d = obs.sum(axis=0)
         self._cells = {
             "rec": np.searchsorted(rows, row),
-            "g": g[keep],
-            "obs": obs[keep],
+            "g": g[:, keep],
+            "obs": obs,
             "log_w": log_w[keep],
             "d_groups": [(int(j), np.flatnonzero(d == j)) for j in np.unique(d)],
         }

@@ -11,8 +11,8 @@ with restricted-mean and quantile summaries of the predicted curves.
 `predict_curves` predicts every requested method for one history on one
 grid, one row per method.  `predict_batch` predicts many histories in
 chunks of whole subjects: the terminal atoms past every landmark of a chunk
-are the cells of one density array, and the single-onset rows of a chunk
-one copula call per onset.  Both assemble their rows with the same code, so a history's rows
+are the cells of one density array, whose onset partials come from one
+copula call, and the single-onset rows of a chunk one copula call per onset.  Both assemble their rows with the same code, so a history's rows
 are the same either way.  Each summary reduces all the curves of a
 prediction at once: one entry per method row, or per (subject, method) row
 of a batch.
@@ -26,8 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .copulas import U_FLOOR, _partials_cells
 from .errors import ArchsurvError, ConfigError, DomainError, NotIdentified
-from .likelihood import FittedJointModel, cell_log_terms, onset_partials
+from .likelihood import FittedJointModel, cell_log_terms
 
 DEFAULT_EXTRA_GRID = 200
 _FILLER_STEPS = np.arange(1.0, DEFAULT_EXTRA_GRID + 1)
@@ -160,39 +161,63 @@ def _grid(model, landmark, times):
     return times
 
 
-def _joint_density(model, v, onsets):
-    """History density factor (see `q_joint_density`) of every cell, a
-    candidate death time where S_D = v.  `onsets` holds (k, cells, t_k) for
-    each onset k some cell observes: those cells (an index, or a slice) and
-    the onset's time in each.  An onset a cell does not observe has G = 1,
-    where the generator vanishes, and leaves the cell's weight alone."""
-    every = all(isinstance(cells, slice) for _, cells, _ in onsets)
-    g = np.ones((v.size, len(onsets)))
-    obs = np.ones(g.shape, dtype=bool) if every else np.zeros(g.shape, dtype=bool)
-    log_w = np.zeros(v.size)
-    with np.errstate(divide="ignore"):
-        for j, (k, cells, t_k) in enumerate(onsets):
-            cop_k = model.copula_for(k)
-            g[cells, j], h12 = onset_partials(model.marginals[k], cop_k, t_k, v[cells])
-            obs[cells, j] = True
-            log_w[cells] += np.log(h12)
+def _joint_log_density(model, v, ks, cells, uc):
+    """log of the history density factor (see `q_joint_density`) of every
+    cell, a candidate death time where S_D = v; -inf where it vanishes.
+    `ks` lists the onsets some cell observes, in order.  `cells` holds the
+    cells that observe each (index arrays), and `uc` the u_k = S_k(t_k) of
+    every (onset, cell) entry, onset by onset; or `cells` is None, every
+    cell observes every onset, and `uc` holds one u_k per onset.  u_k is
+    clamped as a copula argument.  One copula call gives every entry's
+    (G, H12), with one theta per onset.  An onset a cell does not observe
+    has G = 1, where the generator vanishes, and leaves the cell's weight
+    alone."""
+    m, vc = len(ks), v.clip(U_FLOOR, 1.0 - U_FLOOR)
+    th = np.array([model.thetas[k].theta_hat for k in ks])
+    if cells is None:  # onsets x cells
+        th, uc = th[:, None], uc[:, None]
+    else:
+        sizes = [c.size for c in cells]
+        th, vc = np.repeat(th, sizes), vc[np.concatenate(cells)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h2, h12 = _partials_cells(model.family, th, uc, vc)
+        log_h12 = np.log(h12)
+    log_w = np.zeros(v.size)  # the log H12 of a cell's onsets, added in onset order
+    if cells is None:
+        g = h2
+        obs = np.ones(g.shape, dtype=bool)
+        for row in log_h12:
+            log_w += row
+    else:
+        g = np.ones((m, v.size))
+        obs = np.zeros(g.shape, dtype=bool)
+        ends = np.cumsum(sizes).tolist()
+        for j, (c, lo, hi) in enumerate(zip(cells, [0] + ends, ends)):
+            g[j, c] = h2[lo:hi]
+            obs[j, c] = True
+            log_w[c] += log_h12[lo:hi]
     # a cell with a vanishing density factor has zero density, as for the
     # likelihood's records
-    keep = np.flatnonzero(np.isfinite(log_w))
-    obs = obs[keep]
-    if every:  # one group: every cell observes every onset
-        groups = [(len(onsets), slice(None))]
+    keep = np.isfinite(log_w)
+    obs = obs[:, keep]
+    if cells is None:  # one group: every cell observes every onset
+        groups = [(m, slice(None))]
     else:
-        d = obs.sum(axis=1)
+        d = obs.sum(axis=0)
         groups = [(j, np.flatnonzero(d == j)) for j in np.flatnonzero(np.bincount(d))]
-    out = np.zeros(v.size)
-    out[keep] = np.exp(
-        cell_log_terms(model.copula_alpha(), g[keep], obs, log_w[keep], groups)
-    )
+    out = np.full(v.size, -np.inf)
+    out[keep] = cell_log_terms(model.copula_alpha(), g[:, keep], obs, log_w[keep], groups)
     return out
 
 
-def q_joint_density(query: PredictionQuery, t, model: FittedJointModel):
+def _survival_at(curve, t):
+    """curve(t) at one time t: the value after the last jump at or before
+    t, 1 before the first."""
+    i = curve.times.searchsorted(t, side="right")
+    return float(curve.values[i - 1]) if i else 1.0
+
+
+def q_joint_density(query: PredictionQuery, t, model: FittedJointModel, log=False):
     """Joint density of the observed onsets given death at each candidate
     time t, up to the factor prod_k(-S_k'(t_k)), which is free of t:
 
@@ -201,7 +226,8 @@ def q_joint_density(query: PredictionQuery, t, model: FittedJointModel):
     with (G_k, H12_k) at (S_k(t_k), S_D(t)).  Each t is one cell of the
     likelihood's kernel (`cell_log_terms`), with S_D taken as for the
     likelihood's terminal atoms.  Non-negative; defined for t above the
-    landmark.
+    landmark.  With `log`, its log (-inf where it vanishes), finite where
+    the density itself may overflow or underflow.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= query.landmark):
@@ -209,18 +235,25 @@ def q_joint_density(query: PredictionQuery, t, model: FittedJointModel):
     if query.m == 0:
         raise DomainError("joint density factor needs at least one onset")
     v = np.atleast_1d(model.completed_terminal.mid_value(t))
-    out = _joint_density(model, v, [(k, slice(None), t_k) for k, t_k in query.events])
+    uc = [
+        min(max(_survival_at(model.marginals[k], t_k), U_FLOOR), 1.0 - U_FLOOR)
+        for k, t_k in query.events
+    ]
+    out = _joint_log_density(model, v, [k for k, _ in query.events], None, np.array(uc))
+    if not log:
+        out = np.exp(out)
     return out if t.ndim else float(out[0])
 
 
 def _density_of_one(model, queries, start):
-    """The joint density of one history (`q_joint_density`) at the terminal
-    atoms past its landmark (index `start` on), 0 before: 1 x atoms."""
+    """The log joint density of one history (`q_joint_density`) at the
+    terminal atoms past its landmark (index `start` on), -inf before:
+    1 x atoms."""
     (query,), (first,) = queries, start
     atoms = model.terminal_measure[0]
-    out = np.zeros((1, atoms.size))
+    out = np.full((1, atoms.size), -np.inf)
     if first < atoms.size:
-        out[0, first:] = q_joint_density(query, atoms[first:], model)
+        out[0, first:] = q_joint_density(query, atoms[first:], model, log=True)
     return out
 
 
@@ -235,13 +268,17 @@ def _density_of_many(model, queries, start):
     for i, q in enumerate(queries):
         for k, t_k in q.events:
             t_onset[i, k] = t_k
-    onsets = []
+    ks, cells, u = [], [], []
     for k in range(model.k):
-        cells = np.flatnonzero(~np.isnan(t_onset[row, k]))
-        if cells.size:
-            onsets.append((k, cells, t_onset[row[cells], k]))
-    out = np.zeros((len(queries), atoms.size))
-    out[row, atom] = _joint_density(model, mids[atom], onsets)
+        observing = np.flatnonzero(~np.isnan(t_onset[row, k]))
+        if observing.size:
+            ks.append(k)
+            cells.append(observing)
+            u.append(model.marginals[k](t_onset[row[observing], k]))
+    out = np.full((len(queries), atoms.size), -np.inf)
+    if ks:  # some history has an atom past its landmark
+        uc = np.concatenate(u).clip(U_FLOOR, 1.0 - U_FLOOR)
+        out[row, atom] = _joint_log_density(model, mids[atom], ks, cells, uc)
     return out
 
 
@@ -261,18 +298,35 @@ def _row_sums(x, start, stop):
     return out
 
 
-def _tail_rows(model, density, start, times, landmarks):
+def _tail_rows(model, log_density, start, times, landmarks):
     """DP rows for two or more onsets: the terminal mass past each time,
     weighted by the history's joint density, over the mass past the
-    landmark.  `density` (histories x atoms) is 0 up to each landmark
-    (atom index below `start`).  Returns (rows, {history: exception})."""
+    landmark.  `log_density` (histories x atoms) is -inf up to each landmark
+    (atom index below `start`).  A row whose densities overflow or underflow
+    as a whole is scaled by its largest density first; the ratio does not
+    depend on that scale.  Returns (rows, {history: exception})."""
     atoms, masses, _ = model.terminal_measure
-    weights = density * masses
-    den = _row_sums(weights, start, np.full(len(start), atoms.size))
-    # the mass past each atom, summed from the last atom down
-    tail = np.zeros(weights.shape)
-    tail[:, :-1] = np.cumsum(weights[:, :0:-1], axis=1)[:, ::-1]
-    ratio = tail / np.where(den > 0, den, np.nan)[:, None]
+    # (a history with a density of +inf past its landmark gives inf / inf;
+    # it is reported below, and its row is not returned)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(log_density)
+        weights *= masses
+        end = np.full(len(start), atoms.size)
+        den = _row_sums(weights, start, end)
+        scaled = [
+            i for i, (first, total) in enumerate(zip(start.tolist(), den.tolist()))
+            if first < atoms.size and not 0.0 < total < np.inf
+        ]
+        if scaled:
+            top = log_density[scaled].max(axis=1)
+            finite = np.isfinite(top)
+            scaled, top = np.array(scaled)[finite], top[finite]
+            weights[scaled] = np.exp(log_density[scaled] - top[:, None]) * masses
+            den[scaled] = _row_sums(weights[scaled], start[scaled], end[scaled])
+        # the mass past each atom, summed from the last atom down
+        tail = np.zeros(weights.shape)
+        tail[:, :-1] = np.cumsum(weights[:, :0:-1], axis=1)[:, ::-1]
+        ratio = tail / np.where(den > 0, den, np.nan)[:, None]
     idx = np.searchsorted(atoms, times, side="right") - 1
     rows = ratio[np.arange(len(start))[:, None], np.maximum(idx, 0)]
     rows[idx < start[:, None]] = 1.0
@@ -283,10 +337,10 @@ def _tail_rows(model, density, start, times, landmarks):
         elif not total > 0:
             errors[i] = NotIdentified("denominator integral vanished")
         elif total == np.inf:
-            # the weights are non-negative, so a finite denominator bounds
-            # them all and the row is finite too: no NaN curve is returned
+            # a density of +inf past the landmark: a row whose largest
+            # density is finite was scaled, so no NaN curve is returned
             errors[i] = NotIdentified("history density not finite past the landmark")
-    return np.clip(rows, 0.0, 1.0, out=rows), errors
+    return rows.clip(0.0, 1.0, out=rows), errors
 
 
 def _parse_method(method):
@@ -318,12 +372,13 @@ def _method_keys(query, methods):
     return keys
 
 
-def _curves(model, queries, keys, times, density):
+def _curves(model, queries, keys, times, log_density):
     """Every history's method rows on its grid (a row of `times`), and
     {history: exception} for those that are not identified, with the
     exception of each one's first failing method.  `keys` holds each
-    history's method keys; a shorter list repeats its last key.  `density`
-    gives the joint density rows of the histories with a DP key."""
+    history's method keys; a shorter list repeats its last key.
+    `log_density` gives the log joint density rows of the histories with a
+    DP key."""
     n_methods = max(map(len, keys))
     values = np.empty((len(keys), n_methods, times.shape[1]))
     landmarks = np.array([q.landmark for q in queries])
@@ -357,7 +412,7 @@ def _curves(model, queries, keys, times, density):
         who = np.array(list(dp))
         start = np.searchsorted(model.terminal_measure[0], landmarks[who], side="right")
         rows, failed = _tail_rows(
-            model, density(model, [queries[i] for i in who], start), start,
+            model, log_density(model, [queries[i] for i in who], start), start,
             times[who], landmarks[who],
         )
         for r, i in enumerate(who):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from archsurv.copulas import ArchimedeanCopula, _clamp_unit, theta_from_tau
+from archsurv.copulas import U_FLOOR, ArchimedeanCopula, _clamp_unit, theta_from_tau
 from archsurv.marginals import SC_MAX_SWEEPS, SC_TOL
 from archsurv.survival import StepSurvival, kaplan_meier
 
@@ -134,6 +134,19 @@ def reference_partials(cop, u, v):
     if h1.ndim == 0:
         return float(h1), float(h2), float(h12)
     return h1, h2, h12
+
+
+def reference_cell_log_terms(cop_alpha, g, obs, log_w, d_groups):
+    """`likelihood.cell_log_terms` composed of the checked public methods,
+    with G and the observed-onset mask laid out cells x onsets and each
+    cell's onsets added by numpy's sum along the row."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        arg = np.asarray(cop_alpha.phi(np.clip(g, U_FLOOR, 1.0))).sum(axis=1)
+        lp = np.log(-np.asarray(cop_alpha.phi_prime(g)))
+        x = log_w + np.where(obs, lp, 0.0).sum(axis=1)
+        for d, idx in d_groups:
+            x[idx] += cop_alpha.log_abs_psi_deriv(arg[idx], int(d))
+    return x
 
 
 # ---------------------------------------------------------------------------

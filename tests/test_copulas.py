@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from archsurv.copulas import ArchimedeanCopula, tau_from_theta, theta_from_tau
+from archsurv.copulas import (
+    U_FLOOR,
+    ArchimedeanCopula,
+    _log_abs_psi_deriv_cells,
+    _partials_cells,
+    _phi_cells,
+    _phi_prime_cells,
+    tau_from_theta,
+    theta_from_tau,
+)
 from archsurv.errors import DomainError, RangeError
 from tests._oracles import (
     copula_from_tau,
@@ -379,6 +388,59 @@ def test_partials_match_mpmath(family):
             )
         np.testing.assert_allclose(h2, ref[..., 0], rtol=5e-13, atol=0, err_msg=f"{tau}")
         np.testing.assert_allclose(h12, ref[..., 1], rtol=5e-13, atol=0, err_msg=f"{tau}")
+
+
+# copula arguments at the clamp's edges and exactly 1, where the clamp acts
+EDGE_ARGS = np.array([U_FLOOR, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - U_FLOOR, 1.0])
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_partials_cells_with_theta_per_entry_equal_one_call_per_onset(family):
+    # prediction and the likelihood make one kernel call over (onset, cell)
+    # entries laid out onset by onset, with one theta per entry; each
+    # onset's block is what its own copula's `partials` gives, bit for bit,
+    # called with one u for all cells (prediction) or one u per cell (the
+    # likelihood)
+    cops = [copula_from_tau(family, tau) for tau in (0.05, 0.3, 0.6, 0.9, 0.99)]
+    u, v = (x.ravel() for x in np.meshgrid(EDGE_ARGS, EDGE_ARGS, indexing="ij"))
+    n = u.size
+    clamp = lambda x: np.clip(x, U_FLOOR, 1.0 - U_FLOOR)
+    with np.errstate(all="ignore"):
+        h2, h12 = _partials_cells(
+            family, np.repeat([c.theta for c in cops], n),
+            clamp(np.tile(u, len(cops))), clamp(np.tile(v, len(cops))),
+        )
+        for j, cop in enumerate(cops):
+            block = slice(j * n, (j + 1) * n)
+            want = cop.partials(u, v)
+            assert np.array_equal(h2[block], want[0])
+            assert np.array_equal(h12[block], want[1], equal_nan=True)
+            for a, x in enumerate(EDGE_ARGS):
+                cells = slice(j * n + a * EDGE_ARGS.size, j * n + (a + 1) * EDGE_ARGS.size)
+                g, dens = cop.partials(float(x), EDGE_ARGS)
+                assert np.array_equal(h2[cells], g)
+                assert np.array_equal(h12[cells], dens, equal_nan=True)
+    assert np.all((h2 >= 0.0) & (h2 <= 1.0))
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_generator_kernels_equal_the_checked_methods(family):
+    # the unchecked phi, phi' and log|psi^(d)| that the likelihood's cells
+    # call give the public methods' values bit for bit, at the clamp's edges
+    # and at t = 0 and +inf
+    t = np.array([0.0, 1e-300, 1e-12, 1e-3, 0.3, 1.0, 40.0, 800.0, np.inf])
+    for tau in (0.05, 0.5, 0.9, 0.99):
+        cop = copula_from_tau(family, tau)
+        th = cop.theta
+        with np.errstate(all="ignore"):
+            assert np.array_equal(_phi_cells(family, th, EDGE_ARGS), cop.phi(EDGE_ARGS))
+            assert np.array_equal(
+                _phi_prime_cells(family, th, EDGE_ARGS), cop.phi_prime(EDGE_ARGS)
+            )
+            for d in range(11):
+                assert np.array_equal(
+                    _log_abs_psi_deriv_cells(family, th, t, d), cop.log_abs_psi_deriv(t, d)
+                )
 
 
 @pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])

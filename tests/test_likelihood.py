@@ -11,10 +11,12 @@ from scipy import integrate
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
 from archsurv.data import SurvivalData
 from archsurv.errors import ConfigError, EstimationError
+from archsurv.copulas import U_FLOOR
 from archsurv.likelihood import (
     FittedJointModel,
     LikelihoodWorkspace,
     bootstrap_fit,
+    cell_log_terms,
     fit_joint_model,
     maximize_alpha,
     model_aic,
@@ -22,6 +24,7 @@ from archsurv.likelihood import (
 from archsurv.predict import PredictionQuery, predict_curves
 from archsurv.simulate import SimConfig, ex1_config, ex2_config, ex3_config, simulate_dataset
 from archsurv.survival import StepSurvival
+from tests._oracles import copula_from_tau, reference_cell_log_terms
 
 
 class SmoothSurvival:
@@ -684,3 +687,33 @@ def test_ten_onsets_fit_and_predict(family):
     curve = predict_curves(query, fit, ("DP",)).values[0]
     assert np.all(np.isfinite(curve)) and curve[0] <= 1.0 and curve[-1] >= 0.0
     assert np.all(np.diff(curve) <= 1e-12)
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_cell_log_terms_equal_the_composed_public_methods(family):
+    # the unchecked kernels over onset-major G give what the checked public
+    # methods give over cells x onsets: bit for bit up to 7 onsets, where
+    # numpy adds a row's terms in order; from 8 on numpy adds them pairwise,
+    # and the onset-ordered sums differ from it by rounding
+    rng = np.random.default_rng(11)
+    edges = np.array([0.0, U_FLOOR, 0.5, 1.0 - U_FLOOR, 1.0])
+    for k in (1, 2, 3, 7, 8, 10):
+        g = rng.uniform(size=(300, k)) ** rng.uniform(0.01, 20.0, size=(300, 1))
+        g[:25] = rng.choice(edges, size=(25, k))
+        obs = rng.uniform(size=g.shape) < 0.7
+        obs[:5], obs[5:10] = True, False
+        g[~obs & (rng.uniform(size=g.shape) < 0.5)] = 1.0  # as prediction's unobserved onsets
+        log_w = rng.normal(size=g.shape[0])
+        d = obs.sum(axis=1)
+        groups = [(int(j), np.flatnonzero(d == j)) for j in np.unique(d)]
+        for tau in (0.1, 0.5, 0.9):
+            cop = copula_from_tau(family, tau)
+            got = cell_log_terms(cop, g.T.copy(), obs.T.copy(), log_w, groups)
+            want = reference_cell_log_terms(cop, g, obs, log_w, groups)
+            if k < 8:
+                assert np.array_equal(got, want)
+            else:
+                finite = np.isfinite(want)
+                assert np.array_equal(finite, np.isfinite(got))
+                assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+                np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=1e-13)

@@ -16,7 +16,6 @@ from archsurv.likelihood import (
     FittedJointModel,
     bootstrap_fit,
     fit_joint_model,
-    onset_partials,
 )
 from archsurv.marginals import (
     TAU_BRACKET,
@@ -776,14 +775,14 @@ def _toy_model():
 def test_conditional_G_at_zero_is_one():
     s_k, s_d = _toy_model()
     cop = copula_from_tau("frank", 0.5)
-    g, _ = onset_partials(s_k, cop, 0.0, s_d(2.0))
+    g, _ = cop.partials(s_k(0.0), s_d(2.0))
     assert g == pytest.approx(1.0, abs=1e-9)
 
 
 def test_conditional_G_independence_is_marginal():
     s_k, s_d = _toy_model()
     cop = ArchimedeanCopula("gumbel", 1.0)
-    g, _ = onset_partials(s_k, cop, 1.0, s_d(3.0))
+    g, _ = cop.partials(s_k(1.0), s_d(3.0))
     assert g == pytest.approx(float(s_k(1.0)), rel=1e-9)
 
 
@@ -809,7 +808,7 @@ def test_conditional_G_matches_h_finite_difference():
         t = t_k + rng.uniform(0.1, 2.0)
         u = float(s_k(t_k))
         v = float(s_d(t))
-        g, _ = onset_partials(s_k, cop, t_k, v)
+        g, _ = cop.partials(u, v)
         h = 1e-5
         fd = (cop.h(u, v + h) - cop.h(u, v - h)) / (2 * h)
         assert g == pytest.approx(fd, rel=1e-3)
@@ -819,7 +818,7 @@ def test_conditional_G_monotone_in_onset_time():
     s_k, s_d = _toy_model()
     cop = copula_from_tau("frank", 0.6)
     ts = np.linspace(0.1, 2.9, 15)
-    gs = [onset_partials(s_k, cop, x, s_d(3.0))[0] for x in ts]
+    gs = [cop.partials(s_k(x), s_d(3.0))[0] for x in ts]
     assert np.all(np.diff(gs) <= 1e-12)
 
 

@@ -364,8 +364,9 @@ def test_dp_vanishing_denominator_frame_holds_no_arrays():
 
 def test_dp_curve_that_is_not_finite_is_not_identified():
     # held-out subject 19 has onsets at 0.0040 and 0.0027, where both fitted
-    # Gumbel marginals are still 1: its density overflows to +inf past the
-    # landmark, and DP returned 130 NaN of 235 points, which evaluation then
+    # Gumbel marginals are still 1: at 20 of its 36 atoms both G round to 1,
+    # so sum phi(G) = 0, where |psi''| is +inf, and its density is +inf in
+    # log space too.  DP returned 130 NaN of 235 points, which evaluation then
     # scored as a NaN DP MSPE with no subject skipped
     from archsurv.likelihood import fit_joint_model
     from archsurv.metrics import MetricConfig, evaluate_model
@@ -386,6 +387,64 @@ def test_dp_curve_that_is_not_finite_is_not_identified():
         reports = evaluate_model(model, test, MetricConfig(), d_true=res.latent_test.d)
     assert reports["DP"].n_skipped == 1
     assert np.isfinite(reports["DP"].mspe) and np.isfinite(reports["DP"].ibs)
+
+
+def _log_space_dp(model, query, times):
+    """The DP curve as a ratio of log-sum-exps of the history's log density
+    plus the log atom masses: the terminal mass past each time over the
+    mass past the landmark."""
+    atoms, masses, _ = model.terminal_measure
+    first = np.searchsorted(atoms, query.landmark, side="right")
+    x = q_joint_density(query, atoms[first:], model, log=True) + np.log(masses[first:])
+    past = [np.logaddexp.reduce(x[atoms[first:] > t]) for t in times]
+    return np.exp(np.array(past) - np.logaddexp.reduce(x))
+
+
+def test_dp_scales_a_history_density_that_underflows():
+    # onsets far apart under tau 0.95: the density is below 1e-308 at every
+    # atom, so the tail ratio was 0 / 0 ("denominator integral vanished");
+    # scaled by its largest value it gives the log-sum-exp ratio
+    model = injected_model(tau_thetas=(0.95,) * 4, tau_alpha=0.2, family="clayton", n_grid=400)
+    query = PredictionQuery(((0, 0.15), (1, 2.7), (2, 6.3), (3, 16.3)))
+    atoms = model.terminal_measure[0]
+    first = np.searchsorted(atoms, query.landmark, side="right")
+    log_q = q_joint_density(query, atoms[first:], model, log=True)
+    assert np.all(q_joint_density(query, atoms[first:], model) == 0.0)
+    assert np.isfinite(log_q.max()) and log_q.max() < -745.0
+    got = predict_curves(query, model, ("DP", "P0"))
+    np.testing.assert_allclose(
+        got.values[0], _log_space_dp(model, query, got.times), rtol=1e-12, atol=1e-300
+    )
+    assert np.all(np.diff(got.values[0]) <= 0.0)
+    (_, pred, failures), = predict_batch([query], model, ("DP", "P0"))
+    assert not failures and np.array_equal(pred.subject(0).values, got.values)
+
+
+def test_tail_rows_do_not_depend_on_the_density_scale():
+    # a row whose densities all overflow or underflow is scaled by its
+    # largest one; other rows keep the unscaled arithmetic bit for bit.  A
+    # history with a density of +inf, or none above 0, is not identified
+    model = injected_model(n_grid=400)
+    queries = [PredictionQuery(ev) for ev in (((0, 0.4), (2, 1.1)), ((0, 0.3), (1, 0.7), (2, 1.2)))]
+    atoms = model.terminal_measure[0]
+    start = np.searchsorted(atoms, [q.landmark for q in queries], side="right")
+    log_q = predict._density_of_many(model, queries, start)
+    times = np.tile(np.linspace(1.5, 20.0, 40), (2, 1))
+    landmarks = [q.landmark for q in queries]
+    base, errors = predict._tail_rows(model, log_q, start, times, landmarks)
+    assert not errors
+    for shift in (-2000.0, -800.0, 800.0, 2000.0):
+        rows, errors = predict._tail_rows(model, log_q + shift, start, times, landmarks)
+        assert not errors
+        np.testing.assert_allclose(rows, base, rtol=1e-13, atol=1e-300)
+    one = log_q + np.array([[0.0], [900.0]])  # only the second row is scaled
+    rows, _ = predict._tail_rows(model, one, start, times, landmarks)
+    assert np.array_equal(rows[0], base[0])
+    bad = log_q.copy()
+    bad[0, -3] = np.inf
+    bad[1, start[1]:] = -np.inf
+    _, errors = predict._tail_rows(model, bad, start, times, landmarks)
+    assert "not finite" in str(errors[0]) and "vanished" in str(errors[1])
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +637,33 @@ def test_batch_takes_one_method_list_for_all_and_reports_bad_methods():
 
 @pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
 def test_history_cells_density_equals_q_joint_density(family):
-    # the cells of many histories give each history's density bit for bit
-    model = injected_model(family=family, n_grid=400)
-    queries = [PredictionQuery(ev) for ev in BATCH_HISTORIES[3:8]]
-    atoms = model.terminal_measure[0]
-    start = np.searchsorted(atoms, [q.landmark for q in queries], side="right")
-    many = predict._density_of_many(model, queries, start)
-    for i, (q, first) in enumerate(zip(queries, start)):
-        assert np.all(many[i, :first] == 0.0)
-        assert np.array_equal(many[i, first:], q_joint_density(q, atoms[first:], model))
+    # the cells of many histories give each history's log density bit for
+    # bit: K = 3 with the batch histories, and K = 7 and K = 10 with one
+    # history of every size from 2 to K, its onsets in a random order
+    rng = np.random.default_rng(23)
+    cases = [
+        (injected_model(family=family, n_grid=400),
+         [PredictionQuery(ev) for ev in BATCH_HISTORIES[3:8]]),
+    ]
+    for k in (7, 10):
+        model = injected_model(
+            tau_thetas=tuple(np.linspace(0.2, 0.8, k)), family=family, n_grid=400
+        )
+        queries = [
+            PredictionQuery(tuple(zip(rng.permutation(k)[:m].tolist(), rng.uniform(0.05, 3.0, m))))
+            for m in range(2, k + 1)
+        ]
+        cases.append((model, queries))
+    for model, queries in cases:
+        atoms = model.terminal_measure[0]
+        start = np.searchsorted(atoms, [q.landmark for q in queries], side="right")
+        many = predict._density_of_many(model, queries, start)
+        for i, (q, first) in enumerate(zip(queries, start)):
+            one = q_joint_density(q, atoms[first:], model, log=True)
+            assert not np.isnan(one).any()
+            assert np.all(many[i, :first] == -np.inf)
+            assert np.array_equal(many[i, first:], one)
+            assert np.array_equal(np.exp(one), q_joint_density(q, atoms[first:], model))
 
 
 @pytest.mark.parametrize("default_grid", [True, False])
