@@ -236,6 +236,11 @@ def _gumbel_h2(th, lt, s, lly1, lv, out=None):
     return np.exp(out, out=out)
 
 
+# Frank's H12 is taken in log space past this |theta (u + v)|, below the
+# log of the smallest normal double (708.4)
+_FRANK_EXP_LIMIT = 700.0
+
+
 def _partials_cells(family, th, uc, vc):
     """(H2, H12) at clamped arguments, H2 clipped to [0, 1] and H12 >= 0:
     `ArchimedeanCopula.partials` after its clamp.  As in `_h_cells`, theta
@@ -261,8 +266,28 @@ def _partials_cells(family, th, uc, vc):
         )
     else:
         h2, denom = _frank_h2(uf[0], uf[1], vf[0])
-        h12 = -th * np.exp(-th * (uc + vc)) * np.expm1(-th) / denom**2
+        e = -th * (uc + vc)
+        h12 = -th * np.exp(e) * np.expm1(-th) / denom**2
+        # far out, the exponential and denom^2 leave the normal range
+        # together: digits are lost, then 0 / 0 gives NaN.  u + v < 2
+        if np.abs(th).max() > _FRANK_EXP_LIMIT / 2.0:
+            far = np.abs(e) > _FRANK_EXP_LIMIT
+            h12 = np.array(h12)
+            h12[far] = _frank_log_h12(*(np.broadcast_to(x, far.shape)[far] for x in (th, uc, vc)))
     return h2.clip(0.0, 1.0), np.maximum(h12, 0.0)
+
+
+def _frank_log_h12(th, uc, vc):
+    """Frank's H12 = -th e^(-th (u + v)) expm1(-th) / denom^2 through its
+    log, for cells where the exponential and denom^2 underflow together:
+    log|denom| is a logaddexp of `_frank_h2`'s two same-sign terms."""
+    log_denom = np.logaddexp(
+        -th * vc + np.log(np.abs(np.expm1(-th * uc))),
+        -th * uc + np.log(np.abs(np.expm1(-th * (1.0 - uc)))),
+    )
+    return np.exp(
+        np.log(np.abs(th)) - th * (uc + vc) + np.log(np.abs(np.expm1(-th))) - 2.0 * log_denom
+    )
 
 
 @lru_cache(maxsize=64)

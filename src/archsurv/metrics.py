@@ -21,6 +21,7 @@ from .marginals import censoring_km
 from .predict import (
     PredictionInterval,
     PredictionQuery,
+    _method_keys,
     cmst,
     cqst,
     predict_baseline,
@@ -270,32 +271,49 @@ def evaluate_model(
     grid = cfg.grid()
 
     # score a subject only if every method's prediction is identified, so
-    # the reports compare like with like; each chunk of predicted subjects
-    # is reduced to its summaries and its values on the score grid at once
+    # the reports compare like with like
     queries = [subject_query(data, i) for i in range(data.n)]
     eligible = np.array(
         [i for i, q in enumerate(queries) if q.landmark < model.t_max and q.landmark <= t_star],
         dtype=int,
     )
     subjects = [queries[i] for i in eligible]
-    names = [[_method_for(m, q, model.k) for m in methods] for q in subjects]
-    ok = np.zeros(eligible.size, dtype=bool)
     landmarks = np.array([q.landmark for q in subjects])
-    # (methods, subjects, ...) results, one C-ordered row per method, each
-    # chunk's (subjects, methods, ...) rows written into their columns
+    # report methods that read the same curve (DP with fewer than two
+    # onsets, P1 and PK without their onset, Pkm of the landmark's onset)
+    # share one predicted row: each subject predicts one name per distinct
+    # row, and `rows` maps each report method to its row
+    names = []
+    rows = np.empty((eligible.size, len(methods)), dtype=int)
+    for i, q in enumerate(subjects):
+        mine = [_method_for(m, q, model.k) for m in methods]
+        distinct = {}
+        for j, (name, key) in enumerate(zip(mine, _method_keys(q, mine))):
+            rows[i, j] = distinct.setdefault(key, (len(distinct), name))[0]
+        names.append([name for _, name in distinct.values()])
+    # chunks of subjects with as many rows and about as long grids pad
+    # neither: predict by row count, then by landmark, latest first
+    order = np.lexsort((-landmarks, [len(n) for n in names]))
+    ok = np.zeros(eligible.size, dtype=bool)
+    # (methods, subjects, ...) results, one C-ordered row per method; each
+    # chunk's summaries are taken once per distinct row, and its
+    # (subjects, methods, ...) rows written into their columns
     out = {}
 
-    def put(name, rows, index):
+    def put(name, values, index):
+        values = values[np.arange(index.size)[:, None], rows[index]]
         if name not in out:
-            out[name] = np.empty((rows.shape[1], eligible.size) + rows.shape[2:], rows.dtype)
-        out[name][:, index] = np.swapaxes(rows, 0, 1)
+            out[name] = np.empty((len(methods), eligible.size) + values.shape[2:], values.dtype)
+        out[name][:, index] = np.swapaxes(values, 0, 1)
 
-    for index, pred, failures in predict_batch(subjects, model, names):
+    chunks = predict_batch([subjects[i] for i in order], model, [names[i] for i in order])
+    for index, pred, failures in chunks:
         for exc in failures.values():
             if not isinstance(exc, NotIdentified):
                 raise exc
         if pred is None:
             continue
+        index = order[index]
         ok[index] = True
         put("cmst", cmst(pred, t_star), index)
         put("cqst", cqst(pred, cfg.qpe_tau), index)

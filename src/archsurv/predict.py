@@ -11,11 +11,13 @@ with restricted-mean and quantile summaries of the predicted curves.
 `predict_curves` predicts every requested method for one history on one
 grid, one row per method.  `predict_batch` predicts many histories in
 chunks of whole subjects: the terminal atoms past every landmark of a chunk
-are the cells of one density array, whose onset partials come from one
-copula call, and the single-onset rows of a chunk one copula call per onset.  Both assemble their rows with the same code, so a history's rows
-are the same either way.  Each summary reduces all the curves of a
-prediction at once: one entry per method row, or per (subject, method) row
-of a batch.
+are the cells of one density array.  Its onset partials take one copula
+call per onset that some history observes, over those histories and the
+atoms past the chunk's earliest landmark; its single-onset rows take one
+call per onset too.  Both assemble their rows with the same code, so a
+history's rows are the same either way.  Each summary reduces all the
+curves of a prediction at once: one entry per method row, or per (subject,
+method) row of a batch.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ _FILLER_STEPS = np.arange(1.0, DEFAULT_EXTRA_GRID + 1)
 COARSE_GRID_FRACTION = 0.1
 INTERVAL_LEVELS = (0.025, 0.975)  # quantile levels of the prediction interval
 # a batch chunk holds whole subjects while its curves (subjects x methods x
-# longest grid) and density cells (cells x onsets) stay within this count:
-# 512 kB per float array; the chunk's temporaries are a few times that
+# longest grid) and its density cells (cells x onsets, and each onset's
+# block of histories x atoms) stay within this count: 512 kB per float
+# array; the chunk's temporaries are a few times that
 CHUNK_CELLS = 2**16
 
 
@@ -161,52 +164,41 @@ def _grid(model, landmark, times):
     return times
 
 
-def _joint_log_density(model, v, ks, cells, uc):
+def _joint_log_density(model, h2, h12, obs=None):
     """log of the history density factor (see `q_joint_density`) of every
-    cell, a candidate death time where S_D = v; -inf where it vanishes.
-    `ks` lists the onsets some cell observes, in order.  `cells` holds the
-    cells that observe each (index arrays), and `uc` the u_k = S_k(t_k) of
-    every (onset, cell) entry, onset by onset; or `cells` is None, every
-    cell observes every onset, and `uc` holds one u_k per onset.  u_k is
-    clamped as a copula argument.  One copula call gives every entry's
-    (G, H12), with one theta per onset.  An onset a cell does not observe
-    has G = 1, where the generator vanishes, and leaves the cell's weight
-    alone."""
-    m, vc = len(ks), v.clip(U_FLOOR, 1.0 - U_FLOOR)
-    th = np.array([model.thetas[k].theta_hat for k in ks])
-    if cells is None:  # onsets x cells
-        th, uc = th[:, None], uc[:, None]
+    cell, a candidate death time; -inf where it vanishes.  `h2` and `h12`
+    hold the (G, H12) of the (onset, cell) entries, one row per onset that
+    some cell observes, in onset order: with `obs` None every cell observes
+    every onset (onsets x cells arrays); otherwise row j holds the entries
+    of the cells `obs[j]` marks (`obs`: onsets x cells, boolean).  An onset
+    a cell does not observe has G = 1, where the generator vanishes, and
+    leaves the cell's weight alone."""
+    every = obs is None
+    with np.errstate(divide="ignore"):
+        log_h12 = np.log(h12) if every else [np.log(row) for row in h12]
+    # the log H12 of a cell's onsets, added in onset order
+    if every:
+        g, obs = h2, np.ones(h2.shape, dtype=bool)
+        log_w = np.zeros(g.shape[1])
+        for log_row in log_h12:
+            log_w += log_row
     else:
-        sizes = [c.size for c in cells]
-        th, vc = np.repeat(th, sizes), vc[np.concatenate(cells)]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        h2, h12 = _partials_cells(model.family, th, uc, vc)
-        log_h12 = np.log(h12)
-    log_w = np.zeros(v.size)  # the log H12 of a cell's onsets, added in onset order
-    if cells is None:
-        g = h2
-        obs = np.ones(g.shape, dtype=bool)
-        for row in log_h12:
-            log_w += row
-    else:
-        g = np.ones((m, v.size))
-        obs = np.zeros(g.shape, dtype=bool)
-        ends = np.cumsum(sizes).tolist()
-        for j, (c, lo, hi) in enumerate(zip(cells, [0] + ends, ends)):
-            g[j, c] = h2[lo:hi]
-            obs[j, c] = True
-            log_w[c] += log_h12[lo:hi]
+        g, log_w = np.ones(obs.shape), np.zeros(obs.shape[1])
+        for j, (row, log_row) in enumerate(zip(h2, log_h12)):
+            g[j, obs[j]] = row
+            log_w[obs[j]] += log_row
     # a cell with a vanishing density factor has zero density, as for the
     # likelihood's records
     keep = np.isfinite(log_w)
-    obs = obs[:, keep]
-    if cells is None:  # one group: every cell observes every onset
-        groups = [(m, slice(None))]
+    if every:  # one group
+        groups = [(len(h2), slice(None))]
     else:
-        d = obs.sum(axis=0)
+        d = obs[:, keep].sum(axis=0)
         groups = [(j, np.flatnonzero(d == j)) for j in np.flatnonzero(np.bincount(d))]
-    out = np.full(v.size, -np.inf)
-    out[keep] = cell_log_terms(model.copula_alpha(), g[:, keep], obs, log_w[keep], groups)
+    out = np.full(log_w.size, -np.inf)
+    out[keep] = cell_log_terms(
+        model.copula_alpha(), g[:, keep], obs[:, keep], log_w[keep], groups
+    )
     return out
 
 
@@ -239,7 +231,14 @@ def q_joint_density(query: PredictionQuery, t, model: FittedJointModel, log=Fals
         min(max(_survival_at(model.marginals[k], t_k), U_FLOOR), 1.0 - U_FLOOR)
         for k, t_k in query.events
     ]
-    out = _joint_log_density(model, v, [k for k, _ in query.events], None, np.array(uc))
+    th = [model.thetas[k].theta_hat for k, _ in query.events]
+    # one copula call: one theta and one u_k = S_k(t_k) per onset (row)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h2, h12 = _partials_cells(
+            model.family, np.array(th)[:, None], np.array(uc)[:, None],
+            v.clip(U_FLOOR, 1.0 - U_FLOOR),
+        )
+    out = _joint_log_density(model, h2, h12)
     if not log:
         out = np.exp(out)
     return out if t.ndim else float(out[0])
@@ -259,26 +258,36 @@ def _density_of_one(model, queries, start):
 
 def _density_of_many(model, queries, start):
     """`_density_of_one` for many histories at once: the atoms past every
-    landmark are the cells of one array.  histories x atoms."""
+    landmark are the cells of one array, history by history.  Each onset
+    that some history observes takes one copula call over (the histories
+    that observe it x the atoms past the earliest landmark), so u's factors
+    are computed once per history and v's once per atom.  histories x
+    atoms."""
     atoms, _, mids = model.terminal_measure
-    n_past = atoms.size - np.asarray(start)
-    row = np.repeat(np.arange(len(queries)), n_past)
-    atom = np.arange(row.size) + np.repeat(start - np.cumsum(n_past) + n_past, n_past)
+    first = int(np.min(start))
+    past = np.arange(first, atoms.size) >= start[:, None]  # histories x atoms from first
+    row, atom = np.nonzero(past)
+    out = np.full((len(queries), atoms.size), -np.inf)
+    if not row.size:  # no history has an atom past its landmark
+        return out
     t_onset = np.full((len(queries), model.k), np.nan)
     for i, q in enumerate(queries):
         for k, t_k in q.events:
             t_onset[i, k] = t_k
-    ks, cells, u = [], [], []
-    for k in range(model.k):
-        observing = np.flatnonzero(~np.isnan(t_onset[row, k]))
-        if observing.size:
-            ks.append(k)
-            cells.append(observing)
-            u.append(model.marginals[k](t_onset[row[observing], k]))
-    out = np.full((len(queries), atoms.size), -np.inf)
-    if ks:  # some history has an atom past its landmark
-        uc = np.concatenate(u).clip(U_FLOOR, 1.0 - U_FLOOR)
-        out[row, atom] = _joint_log_density(model, mids[atom], ks, cells, uc)
+    seen = ~np.isnan(t_onset) & past.any(axis=1)[:, None]
+    ks = np.flatnonzero(seen.any(axis=0))
+    vc = mids[first:].clip(U_FLOOR, 1.0 - U_FLOOR)
+    h2, h12 = [], []
+    for k in ks.tolist():
+        who = np.flatnonzero(seen[:, k])
+        uc = model.marginals[k](t_onset[who, k]).clip(U_FLOOR, 1.0 - U_FLOOR)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g, dens = _partials_cells(model.family, model.thetas[k].theta_hat, uc[:, None], vc)
+        # the cells past each landmark, history by history
+        cells = past[who]
+        h2.append(g[cells])
+        h12.append(dens[cells])
+    out[row, first + atom] = _joint_log_density(model, h2, h12, seen[row][:, ks].T)
     return out
 
 
@@ -483,7 +492,7 @@ def predict_batch(queries, model: FittedJointModel, methods=("DP",), times=None)
     times = _checked_times(times)
     atoms = model.terminal_measure[0]
     chunk, failures = [], {}
-    longest = n_methods = cells = 0
+    longest = n_methods = cells = n_dp = reach = 0
     for pos, query in enumerate(queries):
         mine = tuple(methods) if shared else tuple(methods[pos])
         lm = query.landmark
@@ -493,15 +502,18 @@ def predict_batch(queries, model: FittedJointModel, methods=("DP",), times=None)
         except ArchsurvError as exc:
             failures[pos] = exc
             continue
-        past = atoms.size - np.searchsorted(atoms, lm, side="right") if "DP" in keys else 0
+        dp = "DP" in keys
+        past = atoms.size - np.searchsorted(atoms, lm, side="right") if dp else 0
         wide, many = max(longest, grid.size), max(n_methods, len(keys))
-        more = cells + past * model.k
-        if chunk and (len(chunk) + 1) * wide * many + more > CHUNK_CELLS:
+        more, dps, far = cells + past * model.k, n_dp + dp, max(reach, past)
+        # the density's cells, or one onset's block of (DP histories x the
+        # atoms past the earliest landmark), whichever is larger
+        if chunk and (len(chunk) + 1) * wide * many + max(more, dps * far) > CHUNK_CELLS:
             yield _finish(model, chunk, failures)
             chunk, failures = [], {}
-            wide, many, more = grid.size, len(keys), past * model.k
+            wide, many, more, dps, far = grid.size, len(keys), past * model.k, int(dp), past
         chunk.append((pos, query, mine, keys, grid))
-        longest, n_methods, cells = wide, many, more
+        longest, n_methods, cells, n_dp, reach = wide, many, more, dps, far
     if chunk or failures:
         yield _finish(model, chunk, failures)
 

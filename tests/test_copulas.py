@@ -390,6 +390,29 @@ def test_partials_match_mpmath(family):
         np.testing.assert_allclose(h12, ref[..., 1], rtol=5e-13, atol=0, err_msg=f"{tau}")
 
 
+def test_frank_h12_near_one_matches_mpmath_at_the_tau_bracket_top():
+    # at tau 0.99 (theta 398) e^(-th (u + v)) and denom^2 both underflow near
+    # u = v = 1: H12 was 0 / 0 = NaN there, and lost digits to subnormals
+    # (5e-10 at tau 0.989) or read 0 past them
+    import mpmath as mp
+
+    diagonal = np.array([0.95, 0.99, 1.0 - 1e-6, 1.0 - 1e-12])
+    others = np.array([0.5, 0.9])
+    for tau in (0.989, 0.99):
+        cop = copula_from_tau("frank", tau)
+        for u, v in [(diagonal, diagonal), (others, diagonal[:2]), (diagonal[:2], others)]:
+            h2, h12 = cop.partials(u, v)
+            with mp.workdps(50):
+                ref = np.array(
+                    [mp_partials("frank", cop.theta, a, b) for a, b in zip(u, v)], dtype=float
+                )
+            assert np.all(ref[:, 1] > 0)
+            np.testing.assert_allclose(h2, ref[:, 0], rtol=1e-12, atol=0, err_msg=f"{tau}")
+            np.testing.assert_allclose(h12, ref[:, 1], rtol=1e-12, atol=0, err_msg=f"{tau}")
+            # a scalar call takes the same path
+            assert cop.partials(float(u[0]), float(v[0])) == (h2[0], h12[0])
+
+
 # copula arguments at the clamp's edges and exactly 1, where the clamp acts
 EDGE_ARGS = np.array([U_FLOOR, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - U_FLOOR, 1.0])
 
@@ -414,12 +437,12 @@ def test_partials_cells_with_theta_per_entry_equal_one_call_per_onset(family):
             block = slice(j * n, (j + 1) * n)
             want = cop.partials(u, v)
             assert np.array_equal(h2[block], want[0])
-            assert np.array_equal(h12[block], want[1], equal_nan=True)
+            assert np.array_equal(h12[block], want[1])
             for a, x in enumerate(EDGE_ARGS):
                 cells = slice(j * n + a * EDGE_ARGS.size, j * n + (a + 1) * EDGE_ARGS.size)
                 g, dens = cop.partials(float(x), EDGE_ARGS)
                 assert np.array_equal(h2[cells], g)
-                assert np.array_equal(h12[cells], dens, equal_nan=True)
+                assert np.array_equal(h12[cells], dens)
     assert np.all((h2 >= 0.0) & (h2 <= 1.0))
 
 

@@ -2,6 +2,7 @@
 invariances, and the cross-validation harness mechanics."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from archsurv.data import SurvivalData
 from archsurv.errors import ConfigError, NoComparablePairs
 from archsurv.metrics import (
+    DEFAULT_METHODS,
     MetricConfig,
     auc_t,
     brier_curve,
@@ -22,7 +24,7 @@ from archsurv.metrics import (
     subject_query,
 )
 from archsurv.predict import PredictionInterval
-from archsurv.simulate import ex1_config, ex2_config, simulate_dataset
+from archsurv.simulate import ex1_config, ex2_config, ex3_config, simulate_dataset
 from archsurv.survival import StepSurvival, kaplan_meier
 from tests._oracles import (
     reference_auc_t,
@@ -343,6 +345,53 @@ def test_evaluate_reports_equal_per_subject_reference(fitted_setup, ipcw):
         auc_a, auc_b = (np.array(x["auc_curve"], dtype=float) for x in (a, b))
         assert np.allclose(auc_a, auc_b, rtol=0.0, atol=1e-12, equal_nan=True)
         assert (a["n_flagged"], a["n_skipped"]) == (b["n_flagged"], b["n_skipped"])
+
+
+@pytest.mark.parametrize("design", ["ex1-k3", "ex3-k7"])
+def test_each_method_scores_as_if_evaluated_alone(fitted_setup, design):
+    # evaluate_model predicts and summarizes each subject's distinct curves
+    # once and gathers every report method's row from them: each method's
+    # scores equal those of evaluating it alone, bit for bit, and so do the
+    # warnings.  ex1 K=3 (fitted; t* capped at follow-up) and ex3 K=7 (true
+    # parameters; t* = 2 skips the two later landmarks, and cmst warns on
+    # coarse grids)
+    if design == "ex1-k3":
+        res, model = fitted_setup
+        cfg = MetricConfig(t_u_star=12.0, n_grid=30)
+    else:
+        from tests.test_predict import injected_model
+
+        res = simulate_dataset(ex3_config(n_train=0, n_test=60, seed=5))
+        model = injected_model(tau_thetas=(0.5,) * 7, n_grid=400)
+        cfg = MetricConfig(t_u_star=2.0, n_grid=30)
+    data, d_true = res.test, res.latent_test.d
+    onsets = [dict(subject_query(data, i).events) for i in range(data.n)]
+    landmarks = [max(ev.values(), default=0.0) for ev in onsets]
+    # subjects with no onset and with one; onset 1 at the landmark of two or
+    # more (Pk:1 is Pkm:1) and before it; and one without onset K
+    assert {0, 1} <= {len(ev) for ev in onsets}
+    first = [ev[0] == lm for ev, lm in zip(onsets, landmarks) if len(ev) > 1 and 0 in ev]
+    assert True in first and False in first
+    assert any(ev and model.k - 1 not in ev for ev in onsets)
+
+    def evaluate(methods):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = evaluate_model(model, data, cfg, d_true=d_true, methods=methods)
+        return reports, Counter(str(w.message) for w in caught)
+
+    together, warned = evaluate(DEFAULT_METHODS)
+    skipped = sum(lm > cfg.t_u_star for lm in landmarks)
+    assert together["DP"].n_skipped == skipped  # every other subject is identified
+    assert warned
+    for name in DEFAULT_METHODS:
+        alone, warned_alone = evaluate((name,))
+        a, b = together[name], alone[name]
+        for key in ("mspe", "qpe", "ibs", "cp", "mid", "n_flagged", "n_skipped"):
+            assert getattr(a, key) == getattr(b, key), (name, key)
+        assert np.array_equal(a.bs_curve, b.bs_curve), name
+        assert np.array_equal(a.auc_curve, b.auc_curve, equal_nan=True), name
+        assert warned_alone == warned, name
 
 
 def test_subject_query_extraction():

@@ -666,6 +666,44 @@ def test_history_cells_density_equals_q_joint_density(family):
             assert np.array_equal(np.exp(one), q_joint_density(q, atoms[first:], model))
 
 
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+@pytest.mark.parametrize("k", [3, 7])
+def test_chunk_spanning_follow_up_density_equals_q_joint_density(family, k):
+    # one chunk whose landmarks run from before the first terminal atom to
+    # past the last, its histories observing different onset subsets: each
+    # onset's copula block spans the atoms past the earliest landmark, and
+    # every history keeps its own cells, bit for bit
+    model = with_dead_tail(
+        injected_model(tau_thetas=tuple(np.linspace(0.2, 0.8, k)), family=family, n_grid=400),
+        20.0,
+    )
+    atoms = model.terminal_measure[0]
+    rng = np.random.default_rng(24)
+    histories = [((0, atoms[0] / 4), (k - 1, atoms[0] / 2))]
+    for m in list(range(2, k + 1)) * 2:
+        onsets = rng.permutation(k)[:m].tolist()
+        histories.append(tuple(zip(onsets, rng.uniform(0.05, 19.0, m))))
+    histories.append(((1, 1.0), (k - 1, 21.0)))
+    queries = [PredictionQuery(ev) for ev in histories]
+    start = np.searchsorted(atoms, [q.landmark for q in queries], side="right")
+    assert start[0] == 0 and start[-1] == atoms.size
+    many = predict._density_of_many(model, queries, start)
+    for i, (q, first) in enumerate(zip(queries, start)):
+        assert np.all(many[i, :first] == -np.inf)
+        if first < atoms.size:
+            one = q_joint_density(q, atoms[first:], model, log=True)
+            assert np.array_equal(many[i, first:], one)
+    # a chunk with no atom past any landmark has no density: DP is not
+    # identified there
+    late = [queries[-1], PredictionQuery(((0, 20.5), (k - 1, 22.0)))]
+    start = np.searchsorted(atoms, [q.landmark for q in late], side="right")
+    assert np.all(start == atoms.size)
+    assert np.all(predict._density_of_many(model, late, start) == -np.inf)
+    ((index, pred, failures),) = predict_batch(late, model, ("DP",))
+    assert index.size == 0 and pred is None
+    assert all(isinstance(failures[i], NotIdentified) for i in (0, 1))
+
+
 @pytest.mark.parametrize("default_grid", [True, False])
 def test_batch_summaries_equal_one_history_summaries(default_grid, monkeypatch):
     # cmst, cqst, prediction_interval and at over (subjects, methods) rows
