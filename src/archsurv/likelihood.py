@@ -27,6 +27,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from . import _cells
 from ._roots import minimize_bounded
 from .copulas import (
     U_FLOOR,
@@ -121,7 +122,9 @@ class LikelihoodWorkspace:
     computed once per cell: the conditional onset survivals G, the
     observed-onset mask and the log weight (atom mass times -G' of every
     observed onset).  An evaluation applies the working generator to G and
-    reduces the cells of each record with logsumexp.
+    reduces the cells of each record with logsumexp.  Both run in chunks of
+    whole records within `_cells.CELLS` (onset x cell) entries each; a
+    record's logsumexp reads only its own cells, whatever the chunks.
 
     `mc_n` and `mc_seed` are accepted and stored so that existing callers
     (the benchmark's checks among them) and model files keep working; the
@@ -151,76 +154,66 @@ class LikelihoodWorkspace:
     # -- alpha-free caches ---------------------------------------------------
 
     def _prepare(self, data: SurvivalData):
-        n = data.n
         atom_t, atom_m, atom_v = terminal_atoms(self.s_d)
+        theta = np.array([[cop.theta] for cop in self.cops])
 
         # cells: a death record has one, at its death time; an alive record
         # has one per atom after its censoring time
         dead = data.dtilde == 1
         first = np.searchsorted(atom_t, data.y, side="right")
         n_cells = np.where(dead, 1, atom_t.size - first)
-        row = np.repeat(np.arange(n), n_cells)
-        pos = np.arange(row.size) - np.repeat(np.cumsum(n_cells) - n_cells, n_cells)
-        # (a death cell's atom index is a placeholder, overwritten below)
-        atom = np.minimum(first[row] + pos, atom_t.size - 1)
-        v, mass = atom_v[atom], atom_m[atom]
-        cd = dead[row]
-        v[cd] = self.s_d.mid_value(data.y[row[cd]])
-        mass[cd] = self.s_d.jump_mass(data.y[row[cd]])
+        self._chunks = []
+        for recs in _cells.chunks(n_cells * self.k):
+            rec, pos = _cells.suffix(n_cells[recs])
+            row = recs.start + rec
+            # (a death cell's atom index is a placeholder, overwritten below)
+            atom = np.minimum(first[row] + pos, atom_t.size - 1)
+            v, mass = atom_v[atom], atom_m[atom]
+            cd = dead[row]
+            v[cd] = self.s_d.mid_value(data.y[row[cd]])
+            mass[cd] = self.s_d.jump_mass(data.y[row[cd]])
 
-        # a censored onset's time is the censoring time, so its row is the
-        # onset survival at censoring.  G = H2 and the density factor H12 at
-        # (S_k(t_k), v) come from one copula call over the (onsets x cells)
-        # entries, with one theta per onset
-        obs = data.delta.T[:, row] == 1
-        t = data.t.T[:, row]
-        uc = np.array([marg(t_k) for marg, t_k in zip(self.marginals, t)])
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            g, h12 = _partials_cells(
-                self.family,
-                np.array([[cop.theta] for cop in self.cops]),
-                uc.clip(U_FLOOR, 1.0 - U_FLOOR),
-                v.clip(U_FLOOR, 1.0 - U_FLOOR),
-            )
-        log_w = _safe_log(mass)
-        for marg, t_k, obs_k, h12_k in zip(self.marginals, t, obs, h12):
-            neg_gp = h12_k * -np.asarray(marg.slope(t_k))
-            log_w[obs_k] += _safe_log(neg_gp[obs_k])
+            # a censored onset's time is the censoring time, so its row is the
+            # onset survival at censoring.  G = H2 and the density factor H12
+            # at (S_k(t_k), v) come from one copula call over the chunk's
+            # (onsets x cells) entries, with one theta per onset
+            obs = data.delta.T[:, row] == 1
+            t = data.t.T[:, row]
+            uc = np.array([marg(t_k) for marg, t_k in zip(self.marginals, t)])
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                g, h12 = _partials_cells(
+                    self.family, theta, uc.clip(U_FLOOR, 1.0 - U_FLOOR),
+                    v.clip(U_FLOOR, 1.0 - U_FLOOR),
+                )
+            log_w = _safe_log(mass)
+            for marg, t_k, obs_k, h12_k in zip(self.marginals, t, obs, h12):
+                neg_gp = h12_k * -np.asarray(marg.slope(t_k))
+                log_w[obs_k] += _safe_log(neg_gp[obs_k])
 
-        keep = np.isfinite(log_w)
-        kept = np.bincount(row[keep], minlength=n) > 0
-        for i in np.flatnonzero(~kept):
-            reason = (
-                "zero density factor" if n_cells[i] else "no terminal mass beyond censoring"
-            )
-            self.skipped.append((int(data.ids[i]), reason))
-
-        row = row[keep]
-        rows = np.flatnonzero(kept)
-        self._rec = {
-            "row": rows,  # data row of each contributing record
-            "start": np.searchsorted(row, rows),
-        }
-        obs = obs[:, keep]
-        d = obs.sum(axis=0)
-        self._cells = {
-            "rec": np.searchsorted(rows, row),
-            "g": g[:, keep],
-            "obs": obs,
-            "log_w": log_w[keep],
-            "d_groups": [(int(j), np.flatnonzero(d == j)) for j in np.unique(d)],
-        }
+            keep = np.isfinite(log_w)
+            counts = np.bincount(rec[keep], minlength=recs.stop - recs.start)
+            for i in recs.start + np.flatnonzero(counts == 0):
+                why = "zero density factor" if n_cells[i] else "no terminal mass beyond censoring"
+                self.skipped.append((int(data.ids[i]), why))
+            kept, rec, obs = np.flatnonzero(counts), rec[keep], obs[:, keep]
+            d = obs.sum(axis=0)
+            groups = [(int(j), np.flatnonzero(d == j)) for j in np.unique(d)]
+            # the arguments of `cell_log_terms`, then each kept record's first
+            # cell and each cell's record among them, for `_segment_logsumexp`
+            self._chunks.append((
+                (g[:, keep], obs, log_w[keep], groups),
+                (np.searchsorted(rec, kept), np.searchsorted(kept, rec)),
+            ))
 
     # -- likelihood ------------------------------------------------------------
 
     def loglik_terms(self, cop_alpha: ArchimedeanCopula):
         """Log contribution of every record that was not skipped, in data
         order: logsumexp over its cells of `cell_log_terms`."""
-        cells = self._cells
-        x = cell_log_terms(
-            cop_alpha, cells["g"], cells["obs"], cells["log_w"], cells["d_groups"]
-        )
-        return _segment_logsumexp(x, self._rec["start"], cells["rec"])
+        return np.concatenate([
+            _segment_logsumexp(cell_log_terms(cop_alpha, *cells), *segments)
+            for cells, segments in self._chunks
+        ])
 
     # -- profile likelihood ------------------------------------------------------
 

@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 
+from . import _cells
 from ._roots import brentq
 from .copulas import (
     _ERRSTATE,
@@ -39,10 +40,6 @@ TAU_BRACKET = (0.001, 0.99)  # Kendall-tau bracket of the concordance root
 # (sup norm), or after SC_MAX_SWEEPS sweeps
 SC_TOL = 1e-6
 SC_MAX_SWEEPS = 200
-# onsets are swept together while their cells total at most SC_CELLS (the
-# budget of `predict.CHUNK_CELLS`), and a larger onset alone, in chunks of
-# whole columns within it
-SC_CELLS = 2**16
 _KINDS = ("h", "h2")  # censored alive (joint survival H), by death (H2)
 
 
@@ -77,10 +74,10 @@ def censoring_km(data: SurvivalData) -> StepSurvival:
 
 
 def _block_rows(size, n_cols):
-    """Rows per block of the concordance grid sweep: max(2**16, size) cells
+    """Rows per block of the concordance grid sweep: max(CELLS, size) cells
     at most, so that a block's work outweighs one pass over `size` per-key
     sums."""
-    return max(1, max(2**16, size) // n_cols)
+    return max(1, max(_cells.CELLS, size) // n_cols)
 
 
 class _PairTable:
@@ -100,8 +97,8 @@ class _PairTable:
     The discordant pairs on cell (r, s) number a(r, s) b(r, s): a counts the
     subjects with onset r and Y > s, b those with death s and T > r.  The grid is swept in blocks of rows from the last onset
     value down, each block carrying the counts of the rows above it.  A
-    block holds about max(2**16, (n + 1) L) cells, as many as the per-key
-    sums, so the build needs O(max(2**16, n L)) memory where the pairs
+    block holds about max(CELLS, (n + 1) L) cells, as many as the per-key
+    sums, so the build needs O(max(CELLS, n L)) memory where the pairs
     number O(n^2).
     """
 
@@ -302,28 +299,15 @@ class _Onset:
         self.cells = sum(int((self.grid.size - c[0]).sum()) for c in self.kinds.values())
 
 
-def _stacks(onsets):
-    """Onset indices in order, grouped while their cells total at most
-    SC_CELLS; an onset with more runs alone."""
-    stack, cells = [], 0
-    for k, onset in enumerate(onsets):
-        if stack and cells + onset.cells > SC_CELLS:
-            yield stack
-            stack, cells = [], 0
-        stack.append(k)
-        cells += onset.cells
-    yield stack
-
-
 class _StackCells:
     """The cells that the censored subjects of a stack's active onsets
     enter, laid out flat and column by column: every "h" column, then every
     "h2" column, each kind in onset and then data order.  Onset i of the
     stack owns the rows from i * width of the (stack x width) grid.
 
-    The columns are swept in chunks of at most SC_CELLS cells (a longer
-    column is a chunk of its own), so that a sweep's temporaries stay within
-    that budget.  A build lays out per cell the v factors that each onset
+    The columns are swept in chunks of at most CELLS cells (a longer column
+    is a chunk of its own), so that a sweep's temporaries stay within that
+    budget.  A build lays out per cell the v factors that each onset
     took once per fit, and a theta (a scalar when one onset is active)."""
 
     def __init__(self, onsets, family, width, active):
@@ -346,29 +330,25 @@ class _StackCells:
             ))
         row0, lens = np.concatenate(row0), np.concatenate(lens)
         bounds = (0, kinds[0][1].size, lens.size)  # the columns of each kind
-        start = np.cumsum(lens) - lens
-        self.chunks, c0 = [], 0
-        while c0 < lens.size:
-            c1 = max(c0 + 1, int(np.searchsorted(start + lens, start[c0] + SC_CELLS, "right")))
-            first = start[c0:c1] - start[c0]  # each column's first cell in the chunk
-            # each column's rows, from its subject's own row down
-            rows = np.repeat(row0[c0:c1] - first, lens[c0:c1])
-            rows += np.arange(rows.size)
+        self.chunks = []
+        for cols in _cells.chunks(lens):
+            col, pos = _cells.suffix(lens[cols])  # each cell's column, place in it
+            first = np.flatnonzero(pos == 0)  # each column's first cell (none is empty)
+            rows = row0[cols][col] + pos  # from its subject's own row down
             parts = []
             for (name, theta, v, vf), lo, hi in zip(kinds, bounds, bounds[1:]):
-                a, b = max(c0, lo), min(c1, hi)
+                a, b = max(cols.start, lo), min(cols.stop, hi)
                 if a < b:
                     own = slice(a - lo, b - lo)
                     per_cell = partial(np.repeat, repeats=lens[a:b])
                     parts.append((
-                        name, slice(first[a - c0], first[b - 1 - c0] + lens[b - 1]),
+                        name, slice(first[a - cols.start], first[b - 1 - cols.start] + lens[b - 1]),
                         one if one is not None else per_cell(theta[own]),
                         [per_cell(f[own]) for f in vf],
                         per_cell(v[own]) if name == "h" else None,  # for `_h_edges`
                     ))
             # the bincount forming the row sums reads every row, then each cell's
-            self.chunks.append((np.concatenate([np.arange(self.n_rows), rows]), lens[c0:c1], first, parts))
-            c0 = c1
+            self.chunks.append((np.concatenate([np.arange(self.n_rows), rows]), lens[cols], first, parts))
         self.buf = np.empty(max((c[0].size for c in self.chunks), default=0))
         self.tmp = []
 
@@ -464,7 +444,7 @@ def self_consistent_marginal(data, thetas, s_d, family, info=None) -> list:
     A censored subject's ratio enters only the grid rows at or after its own
     onset time, and each row adds the at-risk count and then those ratios in
     subject order: the "h" kind, then the "h2" kind, each in data order.
-    Onsets are swept together in stacks of at most SC_CELLS such entries.
+    Onsets are swept together in stacks of at most `_cells.CELLS` entries.
     If `info` is a dict it receives per onset the sweeps (`iterations`) and
     whether it converged (`converged`).
     """
@@ -472,9 +452,9 @@ def self_consistent_marginal(data, thetas, s_d, family, info=None) -> list:
         raise ValueError(f"need one theta per onset ({data.k}), got {len(thetas)}")
     onsets = [_Onset(data, k, s_d, thetas[k], family) for k in range(data.k)]
     curves, sweeps, converged = [None] * data.k, [0] * data.k, [False] * data.k
-    for stack in _stacks(onsets):
-        s, its, conv = _sweep_stack([onsets[k] for k in stack], family, data.n)
-        for i, k in enumerate(stack):
+    for stack in _cells.chunks([o.cells for o in onsets]):
+        s, its, conv = _sweep_stack(onsets[stack], family, data.n)
+        for i, k in enumerate(range(data.k)[stack]):
             grid = onsets[k].grid
             curves[k] = StepSurvival(grid, s[i, : grid.size].copy(), t_max=data.t_max)
             sweeps[k], converged[k] = int(its[i]), bool(conv[i])

@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _cells
 from .copulas import U_FLOOR, _partials_cells
 from .errors import ArchsurvError, ConfigError, DomainError, NotIdentified
 from .likelihood import FittedJointModel, cell_log_terms
@@ -36,11 +37,6 @@ DEFAULT_EXTRA_GRID = 200
 _FILLER_STEPS = np.arange(1.0, DEFAULT_EXTRA_GRID + 1)
 COARSE_GRID_FRACTION = 0.1
 INTERVAL_LEVELS = (0.025, 0.975)  # quantile levels of the prediction interval
-# a batch chunk holds whole subjects while its curves (subjects x methods x
-# longest grid) and its density cells (cells x onsets, and each onset's
-# block of histories x atoms) stay within this count: 512 kB per float
-# array; the chunk's temporaries are a few times that
-CHUNK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -473,7 +469,8 @@ def predict_curves(
 
 def predict_batch(queries, model: FittedJointModel, methods=("DP",), times=None):
     """Every history's curves, as `predict_curves` gives them, in chunks of
-    whole subjects (at most about CHUNK_CELLS cells each).
+    whole subjects (at most about `_cells.CELLS` curve and density cells
+    each).
 
     `methods` is one sequence of method names for every query, or one
     sequence per query.  `times`, if given, is one strictly increasing grid;
@@ -506,9 +503,11 @@ def predict_batch(queries, model: FittedJointModel, methods=("DP",), times=None)
         past = atoms.size - np.searchsorted(atoms, lm, side="right") if dp else 0
         wide, many = max(longest, grid.size), max(n_methods, len(keys))
         more, dps, far = cells + past * model.k, n_dp + dp, max(reach, past)
-        # the density's cells, or one onset's block of (DP histories x the
-        # atoms past the earliest landmark), whichever is larger
-        if chunk and (len(chunk) + 1) * wide * many + max(more, dps * far) > CHUNK_CELLS:
+        # the budget counts (subjects + 1) x longest grid x methods, plus the
+        # density's (cells x onsets) or one onset's block of (DP histories x
+        # atoms past the earliest landmark), whichever is larger; not, on
+        # purpose, the (subjects x grid) arrays of `_curves` and the summaries
+        if chunk and (len(chunk) + 1) * wide * many + max(more, dps * far) > _cells.CELLS:
             yield _finish(model, chunk, failures)
             chunk, failures = [], {}
             wide, many, more, dps, far = grid.size, len(keys), past * model.k, int(dp), past

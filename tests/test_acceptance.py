@@ -290,7 +290,7 @@ def test_criterion_8_likelihood_oracle():
     ws = smooth_workspace(data, mc_n=12_000, n_grid=1000)
     cop_a = ArchimedeanCopula("frank", theta_from_tau("frank", 0.5))
     j_empty_o, j_one_o = _oracle_j_terms((0.5, 0.35), 0.5, t2, y)
-    total = _record_term(ws, cop_a, 0)
+    total = _record_term(ws, data, cop_a, 0)
     rel = abs(total - (j_empty_o + j_one_o)) / (j_empty_o + j_one_o)
 
     ws7, data7 = _ex_workspace(k=7, n=60, censor_upper=2.0)
@@ -299,7 +299,7 @@ def test_criterion_8_likelihood_oracle():
     worst = 0.0
     for row in rows[-3:]:
         subset_sum = subset_terms(ws7, data7, row, cop).sum()
-        worst = max(worst, abs(_record_term(ws7, cop, row) - subset_sum) / subset_sum)
+        worst = max(worst, abs(_record_term(ws7, data7, cop, row) - subset_sum) / subset_sum)
     checked = sorted(int(m) for m in sizes[-3:])
     ok = rel < 2e-2 and worst <= 1e-10 and max(checked) == 7
     _report(

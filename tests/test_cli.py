@@ -365,7 +365,7 @@ def test_predict_files_equal_one_history_reference(workdir, tmp_path, flags, mon
     # hold a few histories each
     from archsurv.likelihood import FittedJointModel
 
-    monkeypatch.setattr("archsurv.predict.CHUNK_CELLS", 3000)
+    monkeypatch.setattr("archsurv._cells.CELLS", 3000)
 
     tmp, _ = workdir
     model = FittedJointModel.load(tmp / "model.json")

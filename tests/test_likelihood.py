@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from archsurv import _cells
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
 from archsurv.data import SurvivalData
 from archsurv.errors import ConfigError, EstimationError
@@ -23,7 +24,7 @@ from archsurv.likelihood import (
 )
 from archsurv.predict import PredictionQuery, predict_curves
 from archsurv.simulate import SimConfig, ex1_config, ex2_config, ex3_config, simulate_dataset
-from archsurv.survival import StepSurvival
+from archsurv.survival import StepSurvival, kaplan_meier
 from tests._oracles import copula_from_tau, reference_cell_log_terms
 
 
@@ -190,10 +191,16 @@ def _oracle_j_terms(tau_thetas, tau_a, t2, y):
     return j_empty, j_one
 
 
-def _record_term(ws, cop_a, row):
+def _kept_rows(ws, data):
+    """Data rows of the records that `loglik_terms` returns, in order."""
+    return np.flatnonzero(~np.isin(data.ids, [i for i, _ in ws.skipped]))
+
+
+def _record_term(ws, data, cop_a, row):
     """Closed-form contribution (not its log) of data row `row`."""
-    pos = int(np.searchsorted(ws._rec["row"], row))
-    assert ws._rec["row"][pos] == row
+    rows = _kept_rows(ws, data)
+    pos = int(np.searchsorted(rows, row))
+    assert rows[pos] == row
     return float(np.exp(ws.loglik_terms(cop_a)[pos]))
 
 
@@ -275,7 +282,7 @@ def test_alive_record_matches_nested_quadrature():
     assert j_empty == pytest.approx(j_empty_o, rel=1e-2)
     assert j_one == pytest.approx(j_one_o, rel=2e-2)
 
-    total = _record_term(ws, cop_a, 0)
+    total = _record_term(ws, data, cop_a, 0)
     assert total == pytest.approx(j_empty_o + j_one_o, rel=1e-5)
     assert total == pytest.approx(j_empty + j_one, rel=1e-12)
 
@@ -285,7 +292,7 @@ def test_alive_record_independence_factorizes():
     data = _alive_record(t2, y)
     ws = smooth_workspace(data, tau_thetas=(1e-7, 1e-7), n_grid=1000)
     cop_a = ArchimedeanCopula("frank", 1e-7)
-    total = _record_term(ws, cop_a, 0)
+    total = _record_term(ws, data, cop_a, 0)
     s1 = np.exp(-RATES_K[0] * y)
     f2 = RATES_K[1] * np.exp(-RATES_K[1] * t2)
     s_d = np.exp(-RATE_D * y)
@@ -298,7 +305,7 @@ def test_alive_all_observed_single_term():
     cop_a = ArchimedeanCopula("frank", 2.0)
     terms = subset_terms(ws, data, 0, cop_a)
     assert terms.size == 1  # empty power set of censored onsets
-    assert _record_term(ws, cop_a, 0) == pytest.approx(terms[0], rel=1e-12)
+    assert _record_term(ws, data, cop_a, 0) == pytest.approx(terms[0], rel=1e-12)
 
 
 def test_alive_no_event_info_reduces_to_tail_mass():
@@ -316,7 +323,82 @@ def test_alive_no_event_info_reduces_to_tail_mass():
         assert terms.size == 4
         assert terms[0] == pytest.approx(0.3, rel=1e-9)  # s = empty
         assert np.allclose(terms[1:], 0.0, atol=1e-12)
-        assert _record_term(ws_f, cop_a, 0) == pytest.approx(0.3, rel=1e-9)
+        assert _record_term(ws_f, data, cop_a, 0) == pytest.approx(0.3, rel=1e-9)
+
+
+def _skip_draw():
+    """ex1 K=3 whose workspace skips a record for each reason: onset 1 of
+    the first subject who died with it observed is moved to time 0, where
+    the slope of its marginal is 0, and the last follow-up is censored."""
+    cfg = ex1_config(k=3, tau_alpha=0.3, censor_upper=5.0, n_train=150, n_test=0, seed=0)
+    data = simulate_dataset(cfg).train
+    t = data.t.copy()
+    t[np.flatnonzero((data.dtilde == 1) & (data.delta[:, 0] == 1))[0], 0] = 0.0
+    return SurvivalData(t, data.delta, data.y, data.dtilde)
+
+
+@pytest.mark.parametrize("family", ["frank", "clayton", "gumbel"])
+def test_cell_budget_leaves_likelihood_bits(family, monkeypatch):
+    # the workspace in chunks of whole records, down to one record per
+    # chunk, against one chunk: every term, every skipped record and the
+    # fit keep their bits
+    data = _skip_draw()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_joint_model(data, family)
+    args = (data, family, [a.theta_hat for a in fit.thetas], fit.marginals, fit.terminal)
+    ws = LikelihoodWorkspace(*args)
+    assert len(ws._chunks) == 1
+    assert [why for _, why in ws.skipped] == [
+        "zero density factor", "no terminal mass beyond censoring"
+    ]
+    cops = [ArchimedeanCopula(family, theta_from_tau(family, tau)) for tau in (0.1, 0.5, 0.9)]
+    for budget in (1, 1000):
+        monkeypatch.setattr(_cells, "CELLS", budget)
+        small = LikelihoodWorkspace(*args)
+        assert len(small._chunks) > 5
+        if budget == 1:
+            assert all(starts.size <= 1 for _, (starts, _) in small._chunks)
+        assert small.skipped == ws.skipped
+        for cop in cops:
+            assert np.array_equal(small.loglik_terms(cop), ws.loglik_terms(cop))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            refit = fit_joint_model(data, family)
+        for name in ("tau_alpha", "alpha", "loglik"):
+            assert repr(getattr(refit, name)) == repr(getattr(fit, name))
+        assert [repr(a.tau_hat) for a in refit.thetas] == [repr(a.tau_hat) for a in fit.thetas]
+        for a, b in zip(refit.marginals, fit.marginals):
+            assert np.array_equal(a.values, b.values)
+        assert refit.diagnostics == fit.diagnostics
+
+
+def test_workspace_memory_is_bounded():
+    # 1,600 records and 570k (onset x cell) entries: in one chunk the build
+    # peaks at about 63 MB and an evaluation at about 44 MB over the 12 MB
+    # the workspace keeps; in chunks of `_cells.CELLS` at about 7 and 4 MB.
+    # The layout does not depend on theta or the marginals: fixed ones serve
+    import tracemalloc
+
+    cfg = ex1_config(k=3, tau_alpha=0.2, censor_upper=5.0, n_train=1600, n_test=0, seed=0)
+    data = simulate_dataset(cfg).train
+    margs = [kaplan_meier(data.t[:, k], data.delta[:, k], t_max=data.t_max) for k in range(3)]
+    thetas = [theta_from_tau("frank", 0.3)] * 3
+    s_d = kaplan_meier(data.y, data.dtilde, t_max=data.t_max)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ws = LikelihoodWorkspace(data, "frank", thetas, margs, s_d)
+        kept, build = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert np.isfinite(ws.profile_loglik(tau_alpha=0.2))
+        evaluate = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mb = 2**20
+    assert kept - base > 8 * mb  # the cells are kept
+    assert build - kept < 16 * mb
+    assert evaluate - kept < 16 * mb
 
 
 def test_record_beyond_all_mass_is_skipped():
@@ -324,7 +406,6 @@ def test_record_beyond_all_mass_is_skipped():
     flat = SmoothSurvival(0.0)
     data = SurvivalData(t=[[2.0]], delta=[[0]], y=[2.0], dtilde=[0])
     ws = LikelihoodWorkspace(data, "frank", [2.0], [flat], s_d, 100, 1)
-    assert ws._rec["row"].size == 0
     assert ws.loglik_terms(ArchimedeanCopula("frank", 2.0)).size == 0
     assert ws.skipped == [(1, "no terminal mass beyond censoring")]
 
@@ -350,7 +431,8 @@ def _ex_workspace(k=7, n=60, seed=3, censor_upper=2.5, n_grid=60, horizon=12.0):
 def _alive_rows_by_censored_count(ws, data):
     """Alive data rows that contribute, sorted by their number of censored
     onsets (ascending), with those counts."""
-    rows = ws._rec["row"][data.dtilde[ws._rec["row"]] == 0]
+    rows = _kept_rows(ws, data)
+    rows = rows[data.dtilde[rows] == 0]
     sizes = (data.delta[rows] == 0).sum(axis=1)
     order = np.argsort(sizes, kind="stable")
     return rows[order], sizes[order]
@@ -364,7 +446,7 @@ def test_subset_count_and_closed_form_equals_subset_sum():
     for row in list(rows[-2:]) + list(rows[:2]):
         terms = subset_terms(ws, data, row, cop_a)
         assert terms.size == 2 ** int((data.delta[row] == 0).sum())
-        total = _record_term(ws, cop_a, row)
+        total = _record_term(ws, data, cop_a, row)
         assert total == pytest.approx(terms.sum(), rel=1e-10)
 
 
@@ -406,22 +488,28 @@ def test_crn_profile_is_deterministic_and_smooth():
     assert np.abs(probe - lls).max() < 5e-4 * slope_scale + 0.05
 
 
-def test_alpha_free_factors_leave_argmax_invariant():
+def test_alpha_free_factors_leave_argmax_invariant(monkeypatch):
     cfg = ex2_config(k=3, tau_alpha=0.5, censor_upper=20.0, n_train=120, n_test=0,
                      seed=13)
     data = simulate_dataset(cfg).train
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fit = fit_joint_model(data, "frank")
+        monkeypatch.setattr(_cells, "CELLS", 300)  # records in several chunks
         ws = LikelihoodWorkspace(
             data, "frank", [a.theta_hat for a in fit.thetas], fit.marginals,
             fit.terminal
         )
+        assert len(ws._chunks) > 2
         _, tau_1, _, _ = maximize_alpha(ws)
-        # rescale every record's alpha-free density factor
+        # rescale every record's alpha-free density factor, chunk by chunk
         rng = np.random.default_rng(0)
-        scale = np.log(rng.uniform(0.5, 2.0, size=ws._rec["row"].size))
-        ws._cells["log_w"] = ws._cells["log_w"] + scale[ws._cells["rec"]]
+        scale = np.log(rng.uniform(0.5, 2.0, size=_kept_rows(ws, data).size))
+        first = 0
+        for (_, _, log_w, _), (starts, rec) in ws._chunks:
+            log_w += scale[first + rec]
+            first += starts.size
+        assert first == scale.size
         _, tau_2, _, _ = maximize_alpha(ws)
     assert tau_2 == pytest.approx(tau_1, abs=2e-4)
 

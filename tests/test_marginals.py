@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from archsurv import likelihood, marginals
+from archsurv import _cells, likelihood, marginals
 
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
 from archsurv.data import SurvivalData
@@ -661,7 +661,7 @@ def test_stacked_sweep_equals_each_onset_alone(family, monkeypatch):
     data, thetas = _stack_draw(family)
     s_d = terminal_km(data)
     onsets = [marginals._Onset(data, k, s_d, thetas[k], family) for k in range(data.k)]
-    assert list(marginals._stacks(onsets)) == [list(range(10))]  # one stack
+    assert list(_cells.chunks([o.cells for o in onsets])) == [slice(0, 10)]  # one stack
     assert onsets[3].cells == 0 and all(o.cells for o in onsets[:3] + onsets[4:])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # every onset converges
@@ -712,18 +712,29 @@ def test_cell_budget_splits_stacks_and_chunks(monkeypatch, budget):
     s_d = terminal_km(data)
     want = {}
     curves = self_consistent_marginal(data, thetas, s_d, "gumbel", info=want)
-    monkeypatch.setattr(marginals, "SC_CELLS", budget)
+    monkeypatch.setattr(_cells, "CELLS", budget)
     onsets = [marginals._Onset(data, k, s_d, thetas[k], "gumbel") for k in range(data.k)]
-    stacks = list(marginals._stacks(onsets))
-    assert len(stacks) > 2 and sorted(sum(stacks, [])) == list(range(10))
+    stacks = list(_cells.chunks([o.cells for o in onsets]))
+    assert len(stacks) > 2 and [k for st in stacks for k in range(10)[st]] == list(range(10))
     for stack in stacks:
-        assert len(stack) == 1 or sum(onsets[k].cells for k in stack) <= budget
+        assert len(onsets[stack]) == 1 or sum(o.cells for o in onsets[stack]) <= budget
     cells = marginals._StackCells([onsets[0]], "gumbel", onsets[0].grid.size, np.ones(1, bool))
     assert len(cells.chunks) > 1
     got = {}
     for a, b in zip(curves, self_consistent_marginal(data, thetas, s_d, "gumbel", info=got)):
         assert np.array_equal(a.values, b.values)
     assert got == want
+
+
+def test_cells_chunks_and_suffix_layout(monkeypatch):
+    # greedy chunks within the budget, an oversized item alone, empty items
+    # kept with their neighbours; suffix cells segment by segment
+    monkeypatch.setattr(_cells, "CELLS", 10)
+    chunks = list(_cells.chunks([3, 7, 0, 12, 0, 4, 6, 1]))
+    assert chunks == [slice(0, 3), slice(3, 4), slice(4, 7), slice(7, 8)]
+    assert list(_cells.chunks([])) == []
+    seg, pos = _cells.suffix([2, 0, 3])
+    assert seg.tolist() == [0, 0, 2, 2, 2] and pos.tolist() == [0, 1, 0, 1, 2]
 
 
 def test_fit_takes_every_onset_from_one_sweep_call(monkeypatch):

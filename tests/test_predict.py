@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 from archsurv.copulas import ArchimedeanCopula, theta_from_tau
-from archsurv import predict
+from archsurv import _cells, predict
 from archsurv.errors import ArchsurvError, ConfigError, DomainError, NotIdentified
 from archsurv.likelihood import FittedJointModel
 from archsurv.marginals import PairwiseAssociation, WeightSpec
@@ -598,7 +598,7 @@ def test_batch_rows_equal_one_query_curves(family, default_grid, monkeypatch):
     queries = [PredictionQuery(ev) for ev in BATCH_HISTORIES * 3]
     methods = [_all_methods(q) for q in queries]
     times = None if default_grid else np.linspace(0.02, 24.0, 90)
-    monkeypatch.setattr(predict, "CHUNK_CELLS", 20_000 if default_grid else 3_000)
+    monkeypatch.setattr(_cells, "CELLS", 20_000 if default_grid else 3_000)
     seen, chunks = _batch_outcomes(queries, model, methods, times)
     assert chunks >= 6
     assert sorted(seen) == list(range(len(queries)))
@@ -713,7 +713,7 @@ def test_batch_summaries_equal_one_history_summaries(default_grid, monkeypatch):
     queries = [PredictionQuery(ev) for ev in BATCH_HISTORIES[:8]]
     methods = [_all_methods(q) for q in queries]
     times = None if default_grid else np.linspace(0.0, 24.0, 9)[1:]
-    monkeypatch.setattr(predict, "CHUNK_CELLS", 20_000 if default_grid else 200)
+    monkeypatch.setattr(_cells, "CELLS", 20_000 if default_grid else 200)
     grid = np.linspace(0.0, 20.0, 41)
     parts = warned = 0
     for index, pred, _ in predict_batch(queries, model, methods, times):
@@ -753,7 +753,7 @@ def test_batch_summaries_equal_one_history_summaries(default_grid, monkeypatch):
 def test_batch_memory_is_bounded():
     # 1,400 held-out histories with evaluate's six methods: their curves in
     # one (subjects x methods x grid) array, with its temporaries, peak at
-    # about 58 MB here; chunks of CHUNK_CELLS cells at about 2 MB
+    # about 58 MB here; chunks of `_cells.CELLS` cells at about 2 MB
     import tracemalloc
 
     from archsurv.likelihood import fit_joint_model
